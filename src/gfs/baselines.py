@@ -9,8 +9,8 @@ factor applied to the output).
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -47,10 +47,6 @@ def fft_derivative(u: SampledSignal, order=1):
 # Bernoulli polynomials and the Eckhoff singular basis
 
 
-_bernoulli_cache = {}
-_bernoulli_lock = threading.Lock()
-
-
 def _bernoulli_numbers(n_max):
     # B_0 .. B_{n_max} via the standard recurrence, exact rationals.
     B = [Fraction(1)]
@@ -60,19 +56,14 @@ def _bernoulli_numbers(n_max):
     return B
 
 
+@functools.cache
 def bernoulli_coefficients(m):
     """Ascending coefficients of the Bernoulli polynomial B_m(x)."""
     if not 1 <= m <= BERNOULLI_MAX_ORDER + 1:
         raise ValueError(f"order {m} outside 1..{BERNOULLI_MAX_ORDER + 1}")
-    with _bernoulli_lock:
-        cached = _bernoulli_cache.get(m)
-        if cached is None:
-            nums = _bernoulli_numbers(m)
-            # B_m(x) = sum_k C(m, k) B_k x^(m-k) -> ascending power j = m-k
-            cached = tuple(float(Fraction(comb(m, m - j)) * nums[m - j])
-                           for j in range(m + 1))
-            _bernoulli_cache[m] = cached
-    return cached
+    nums = _bernoulli_numbers(m)
+    # B_m(x) = sum_k C(m, k) B_k x^(m-k) -> ascending power j = m-k
+    return tuple(float(Fraction(comb(m, m - j)) * nums[m - j]) for j in range(m + 1))
 
 
 def bernoulli_polynomial(m, x):

@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gfs.baselines import IllConditioned, eckhoff_derivative, fft_derivative, prony_derivative, prony_fit, roache_derivative
-from gfs.core import build_aperiodic_model, gfs_decompose, gfs_derivative
+from gfs.core import gfs_decompose, gfs_derivative
 from gfs.functions import get_function
-from gfs.grid import lp_error_norm, make_grid, sample, to_standard_interval
-from gfs.jumps import GridTooSmall, estimate_jumps, fd_differentiate, jumps_from_analytic, to_standard_jumps
+from gfs.grid import lp_error_norm, make_grid, sample
+from gfs.jumps import GridTooSmall, estimate_jumps, fd_differentiate, jumps_from_analytic
 
 PI = math.pi
 
@@ -30,7 +30,6 @@ class ExperimentConfig:
     prony_M: str = "N/2"  # "N/2", "Nk", or an integer literal
     jump_source: str = "analytic"  # "analytic" or "fd:<r>"
     fd_order: int = 6
-    derivative_order: int = 1
     a: float = -PI
     b: float = PI
 
@@ -40,8 +39,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; choices {KNOWN_METHODS}")
         if self.jump_source != "analytic" and not self.jump_source.startswith("fd:"):
             raise ValueError("jump_source must be 'analytic' or 'fd:<r>'")
-        if self.derivative_order != 1:
-            raise ValueError("only first derivatives are benchmarked")
 
     @property
     def fd_jump_order(self):
@@ -221,11 +218,15 @@ class LeakageReport:
     periodic_spectrum: np.ndarray  # |DFT| of the periodic remainder
 
 
-def leakage_demo(N, k1=5.3, k2=12.4, a1=0.7, a2=1.0):
-    """Two-non-integer-mode demo: recovered modes plus DFT magnitude spectra."""
+def leakage_demo(N, **params):
+    """Two-non-integer-mode demo: recovered modes plus DFT magnitude spectra.
+
+    ``params`` override the catalog's leakage_demo wavenumbers and
+    amplitudes (k1, k2, a1, a2).
+    """
     if N < 64:
         raise ValueError("N must be >= 64")
-    f = get_function("leakage_demo", k1=k1, k2=k2, a1=a1, a2=a2)
+    f = get_function("leakage_demo", **params)
     grid = make_grid(-PI, PI, N)
     u = sample(f, grid)
     jumps = jumps_from_analytic(f, 8)

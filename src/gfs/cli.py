@@ -7,6 +7,7 @@ Examples:
     gfs-bench --config runs/multimode.cfg
     gfs-bench --function gaussian --method gfs --N 32 --N 64 --N 128 --sweep
     gfs-bench leakage --N 128 --out leakage.csv
+    gfs-bench leakage --N 128 --param k1=5.0 --param k2=12.0
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _emit(report, out):
 
 def _run_leakage(args):
     N = args.N[0] if args.N else 128
-    rep = leakage_demo(N)
+    rep = leakage_demo(N, **dict(_parse_param(s) for s in args.param))
     lines = ["quantity,index,value"]
     for k, a in rep.recovered_sine_modes:
         lines.append(f"mode_wavenumber,,{k.real:.8f}")

@@ -20,7 +20,7 @@ representable by the periodic FFT part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

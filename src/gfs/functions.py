@@ -8,8 +8,9 @@ symbolic or finite-difference fallback would dominate the error budget.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -225,4 +226,9 @@ def get_function(name, **params):
     except KeyError:
         raise KeyError(f"unknown test function {name!r}; "
                        f"choices: {sorted(FUNCTION_CATALOG)}") from None
+    known = inspect.signature(factory).parameters
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ValueError(f"unknown parameters {unknown} for {name!r}; "
+                         f"choices: {sorted(known)}")
     return factory(**params)

@@ -1,18 +1,19 @@
 """One-sided finite-difference stencils and endpoint jump estimation.
 
-Stencil weights are solved in exact rational arithmetic: the moment matrix
-is a Vandermonde in the node offsets and is hopeless in floating point for
-widths beyond ~15, while the exact solution is rational with small integer
-structure. Solved weights are cached per (derivative, offsets) key.
+Stencil weights are exact Fractions: the moment matrix is a Vandermonde in
+the node offsets and hopeless in floating point for widths beyond ~15, while
+the exact weights are rationals with small integer structure. Fornberg's
+recursion yields the weights of every derivative order for one offset set in
+a single pass; the result is cached per offset tuple. Backward (right
+boundary) stencils are the forward ones times (-1)^d.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -42,10 +43,6 @@ class StencilWeights:
         return np.array([float(w) for w in self.weights])
 
 
-_weights_cache = {}
-_cache_lock = threading.Lock()
-
-
 def stencil_weights_at_offsets(d, offsets):
     """Exact weights a_m with sum_m a_m * s_m^n / n! = delta(n, d), n = 0..M.
 
@@ -55,47 +52,52 @@ def stencil_weights_at_offsets(d, offsets):
     offsets = tuple(int(s) for s in offsets)
     if len(set(offsets)) != len(offsets):
         raise ValueError("stencil offsets must be distinct")
-    if len(offsets) <= d:
-        raise ValueError("stencil width must exceed derivative order")
-    key = (int(d), offsets)
-    with _cache_lock:
-        cached = _weights_cache.get(key)
-    if cached is not None:
-        return cached
-
-    M = len(offsets) - 1
-    A = [[Fraction(s) ** n / factorial(n) for s in offsets] for n in range(M + 1)]
-    rhs = [Fraction(1) if n == d else Fraction(0) for n in range(M + 1)]
-    weights = _solve_rational(A, rhs)
-
-    with _cache_lock:
-        _weights_cache[key] = weights
-    return weights
+    d = int(d)
+    if not 0 <= d < len(offsets):
+        raise ValueError(f"derivative order {d} outside 0..{len(offsets) - 1} "
+                         f"for stencil width {len(offsets)}")
+    return _fornberg_table(offsets)[d]
 
 
-def _solve_rational(A, b):
-    """Gaussian elimination with partial pivoting over Fractions."""
-    n = len(b)
-    A = [row[:] for row in A]
-    b = b[:]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(A[r][col]))
-        if A[pivot][col] == 0:
-            raise ValueError("singular moment system")
-        A[col], A[pivot] = A[pivot], A[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        for r in range(col + 1, n):
-            if A[r][col] == 0:
-                continue
-            f = A[r][col] / A[col][col]
-            for c in range(col, n):
-                A[r][c] -= f * A[col][c]
-            b[r] -= f * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r] - sum(A[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = acc / A[r][r]
-    return tuple(x)
+@functools.cache
+def _fornberg_table(offsets):
+    """Weights of every order 0..W-1 at 0 for the W nodes ``offsets``.
+
+    Fornberg's recursion (Math. Comp. 51, 1988) over Fractions: adding node
+    n updates the weights of nodes 0..n-1 and creates those of node n, for
+    all orders at once. Row d of the result is the order-d stencil.
+    """
+    s = [Fraction(x) for x in offsets]
+    W = len(s)
+    c = [[Fraction(0)] * W for _ in range(W)]
+    c[0][0] = Fraction(1)
+    c1 = Fraction(1)
+    for n in range(1, W):
+        c2 = Fraction(1)
+        for j in range(n):
+            c3 = s[n] - s[j]
+            c2 *= c3
+            if j == n - 1:
+                for k in range(n, 0, -1):
+                    c[k][n] = c1 * (k * c[k - 1][n - 1] - s[n - 1] * c[k][n - 1]) / c2
+                c[0][n] = -c1 * s[n - 1] * c[0][n - 1] / c2
+            for k in range(n, 0, -1):
+                c[k][j] = (s[n] * c[k][j] - k * c[k - 1][j]) / c3
+            c[0][j] = s[n] * c[0][j] / c3
+        c1 = c2
+    return tuple(tuple(row) for row in c)
+
+
+@functools.cache
+def _backward_table(width):
+    """Stencils of every order on offsets 0..-(width-1), the right boundary.
+
+    Mirroring the offsets multiplies the order-d moment conditions by
+    (-1)^d, so row d is the forward row times (-1)^d; no second solve.
+    """
+    forward = _fornberg_table(tuple(range(width)))
+    return tuple(row if d % 2 == 0 else tuple(-w for w in row)
+                 for d, row in enumerate(forward))
 
 
 def fd_weights(d, width, side="forward"):
@@ -106,15 +108,15 @@ def fd_weights(d, width, side="forward"):
     """
     d = int(d)
     width = int(width)
-    if width <= d:
-        raise ValueError(f"width {width} must exceed derivative order {d}")
+    if not 0 <= d < width:
+        raise ValueError(f"derivative order {d} outside 0..{width - 1} for width {width}")
     if side == "forward":
-        offsets = range(width)
+        table = _fornberg_table(tuple(range(width)))
     elif side == "backward":
-        offsets = range(0, -width, -1)
+        table = _backward_table(width)
     else:
         raise ValueError(f"side must be 'forward' or 'backward', got {side!r}")
-    return StencilWeights(d=d, weights=stencil_weights_at_offsets(d, offsets), side=side)
+    return StencilWeights(d=d, weights=table[d], side=side)
 
 
 @dataclass(frozen=True)

@@ -231,3 +231,25 @@ class TestCli:
         assert rc == 0
         text = out.read_text()
         assert "mode_wavenumber" in text
+
+    def test_leakage_params(self, tmp_path):
+        out = tmp_path / "leak.csv"
+        rc = cli_main(["leakage", "--N", "128", "--param", "k1=5.0",
+                       "--param", "k2=12.0", "--out", str(out)])
+        assert rc == 0
+        # integer wavenumbers are periodic: the remainder holds them in two
+        # clean bins carrying the catalog amplitudes a1=0.7, a2=1.0
+        spec = {int(i): float(v) for q, i, v in
+                (line.split(",") for line in out.read_text().splitlines())
+                if q == "periodic_spectrum" and float(v) > 1e-8}
+        assert set(spec) == {5, 12}
+        assert spec[5] == pytest.approx(0.7, abs=1e-5)
+        assert spec[12] == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("argv", [
+        ["leakage", "--N", "128", "--param", "k3=1.5"],
+        ["--function", "gaussian", "--method", "gfs", "--param", "k3=1.5"],
+    ])
+    def test_unknown_param_is_input_error(self, argv, capsys):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: unknown parameters ['k3']")

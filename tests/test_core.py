@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfs.core import (
@@ -165,6 +165,9 @@ class TestSmallNOracles:
     def test_three_mode_equivalence(self, k1, dk2, dk3, a1, a2, a3):
         # independent route: direct Hankel solve + numpy roots
         ks = [k1, k1 + dk2, k1 + dk2 + dk3]
+        # an integer k has sin(k pi) = 0, hence no jump content, and the
+        # core drops it by design; test_integer_mode_is_dropped pins that
+        assume(all(abs(k - round(k)) >= 1e-3 for k in ks))
         amps = [a1 + 2.5, a2 + 2.5, a3 + 2.5]  # keep away from zero
         jumps = sine_sum_jumps(ks, amps, 12)
         J = jumps.J[0::2]
@@ -176,6 +179,13 @@ class TestSmallNOracles:
         np.testing.assert_allclose(got, lams, rtol=1e-6)
         got_k = np.sort([k.real for k, _ in model.sine_modes])
         np.testing.assert_allclose(got_k, np.sort(ks), rtol=1e-6)
+
+    def test_integer_mode_is_dropped(self):
+        # k = 2 carries no jumps: only the other two modes keep an amplitude
+        jumps = sine_sum_jumps([0.7, 2.0, 3.5], [2.5, 2.5, 2.5], 12)
+        model = build_aperiodic_model(jumps, 3)
+        kept = sorted((k.real, a.real) for k, a in model.sine_modes if abs(a) > 1e-8)
+        np.testing.assert_allclose(kept, [(0.7, 2.5), (3.5, 2.5)], rtol=1e-6)
 
 
 class TestEvaluate:

@@ -55,6 +55,36 @@ class TestStencilWeights:
             expected = Fraction(math.factorial(d)) if n == d else Fraction(0)
             assert acc == expected
 
+    @given(st.lists(st.integers(-15, 15), min_size=1, max_size=12, unique=True),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_moment_conditions_arbitrary_offsets(self, offsets, data):
+        # Negative, unsorted and non-contiguous offsets, as fd_differentiate
+        # uses them off-centre, satisfy the moment system exactly.
+        d = data.draw(st.integers(0, len(offsets) - 1))
+        w = stencil_weights_at_offsets(d, offsets)
+        for n in range(len(offsets)):
+            acc = sum(c * Fraction(s) ** n for c, s in zip(w, offsets))
+            assert acc == (Fraction(math.factorial(d)) if n == d else 0)
+
+    @pytest.mark.parametrize("width", [13, 21, 29])
+    def test_backward_moment_conditions_exact(self, width):
+        offsets = range(0, -width, -1)
+        for d in range(1, min(width, 24)):
+            w = fd_weights(d, width, "backward").weights
+            for n in range(width):
+                acc = sum(c * Fraction(s) ** n for c, s in zip(w, offsets))
+                assert acc == (Fraction(math.factorial(d)) if n == d else 0)
+
+    @pytest.mark.parametrize("d, offsets", [
+        (1, [0, 1, 1]), (2, [0, 1]), (-1, [0, 1, 2])])
+    def test_invalid_stencil_rejected(self, d, offsets):
+        with pytest.raises(ValueError):
+            stencil_weights_at_offsets(d, offsets)
+        if len(set(offsets)) == len(offsets):
+            with pytest.raises(ValueError):
+                fd_weights(d, len(offsets), "backward")
+
     def test_polynomial_exactness(self):
         # A width-w stencil differentiates polynomials below degree w exactly.
         w = fd_weights(3, 7, "forward")
