@@ -66,14 +66,19 @@ def bernoulli_coefficients(m):
     return tuple(float(Fraction(comb(m, m - j)) * nums[m - j]) for j in range(m + 1))
 
 
+def _float_if_scalar(x, values):
+    """``values`` as a Python float for scalar ``x``, else as an array."""
+    return float(values) if np.ndim(x) == 0 else values
+
+
 def bernoulli_polynomial(m, x):
-    """B_m(x), typically evaluated for x in [0, 1]."""
+    """B_m(x), typically evaluated for x in [0, 1]; x may be an array."""
     coeffs = bernoulli_coefficients(m)
-    return float(np.polyval(coeffs[::-1], x))
+    return _float_if_scalar(x, np.polyval(coeffs[::-1], x))
 
 
 def eckhoff_V(m, x, beta=-PI):
-    """Periodic singular basis V_m(x; beta) built from B_{m+1}.
+    """Periodic singular basis V_m(x; beta) built from B_{m+1}; x may be an array.
 
     V_m(x; beta) = -(2 pi)^m / (m+1)! * B_{m+1}(xi / 2 pi) with
     xi = mod(x - beta, 2 pi). The seam sits at x = beta: evaluation at the
@@ -82,25 +87,24 @@ def eckhoff_V(m, x, beta=-PI):
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    xi = math.fmod(x - beta, TWO_PI)
-    if xi < 0.0:
-        xi += TWO_PI
-    if xi == 0.0 and x > beta:
-        xi = TWO_PI
-    return -(TWO_PI ** m) / factorial(m + 1) * bernoulli_polynomial(m + 1, xi / TWO_PI)
+    xi = np.fmod(x - beta, TWO_PI)
+    xi = np.where(xi < 0.0, xi + TWO_PI, xi)
+    xi = np.where((xi == 0.0) & (x > beta), TWO_PI, xi)
+    V = -(TWO_PI ** m) / factorial(m + 1) * bernoulli_polynomial(m + 1, xi / TWO_PI)
+    return _float_if_scalar(x, V)
 
 
 def eckhoff_singular_part(jumps: JumpData, x):
-    """s(x) = sum_m A^m V_m(x; -pi) with A^m = -J_m."""
-    return sum(-jumps.J[m] * eckhoff_V(m, x) for m in range(jumps.q))
+    """s(x) = sum_m A^m V_m(x; -pi) with A^m = -J_m; x may be an array."""
+    return _float_if_scalar(x, sum(-jumps.J[m] * eckhoff_V(m, x) for m in range(jumps.q)))
 
 
 def eckhoff_singular_derivative(jumps: JumpData, x):
-    """s'(x) using d/dx V_m = V_{m-1}; V_0' is the constant -1/(2 pi)."""
-    total = -jumps.J[0] * (-1.0 / TWO_PI)
+    """s'(x) using d/dx V_m = V_{m-1}; V_0' is the constant -1/(2 pi); x may be an array."""
+    total = np.full(np.shape(x), -jumps.J[0] * (-1.0 / TWO_PI))
     for m in range(1, jumps.q):
         total += -jumps.J[m] * eckhoff_V(m - 1, x)
-    return total
+    return _float_if_scalar(x, total)
 
 
 def eckhoff_derivative(u: SampledSignal, jumps: JumpData):
@@ -108,14 +112,15 @@ def eckhoff_derivative(u: SampledSignal, jumps: JumpData):
 
     The singular part carries all endpoint jumps up to order q-1; the
     remainder is differentiated spectrally and the singular derivative is
-    added back analytically.
+    added back analytically. The singular part and its derivative are
+    evaluated on all nodes at once.
     """
     grid = u.grid
     sj = to_standard_jumps(jumps, grid)
     xs = to_standard_interval(grid.nodes(), grid)
-    s = np.array([eckhoff_singular_part(sj, x) for x in xs])
+    s = eckhoff_singular_part(sj, xs)
     smooth_deriv = spectral_derivative_periodic(u.values - s, 1)
-    s_deriv = np.array([eckhoff_singular_derivative(sj, x) for x in xs])
+    s_deriv = eckhoff_singular_derivative(sj, xs)
     return SampledSignal(grid, (smooth_deriv + s_deriv) * standard_chain_factor(grid))
 
 
@@ -211,7 +216,7 @@ def prony_fit(u: SampledSignal, M):
     h = h[:2 * M]
     dx = u.grid.dx
 
-    H = np.array([[h[k + m] for k in range(M)] for m in range(M)], dtype=complex)
+    H = np.lib.stride_tricks.sliding_window_view(h[:2 * M - 1], M).astype(complex)
     rhs = -h[M:2 * M].astype(complex)
     # Direct solve, not a truncated pseudoinverse: the Hankel is routinely
     # near-singular on smooth data yet the unregularized solution still

@@ -12,7 +12,7 @@ from gfs.baselines import IllConditioned, eckhoff_derivative, fft_derivative, pr
 from gfs.core import gfs_decompose, gfs_derivative
 from gfs.functions import get_function
 from gfs.grid import lp_error_norm, make_grid, sample
-from gfs.jumps import GridTooSmall, estimate_jumps, fd_differentiate, jumps_from_analytic
+from gfs.jumps import GridTooSmall, JumpData, estimate_jumps, fd_differentiate, jumps_from_analytic
 
 PI = math.pi
 
@@ -71,11 +71,23 @@ class ExperimentReport:
         return ExperimentReport(rows=tuple(out))
 
 
-def _gfs_jumps(cfg, f, u, q):
-    r = cfg.fd_jump_order
-    if r is None:
-        return jumps_from_analytic(f, q)
-    return estimate_jumps(u, q, r)
+def _analytic_jumps(cfg, f):
+    """One catalog pass for every method that takes analytic jumps, or None.
+
+    Each J_m is computed on its own, so a leading slice of this set equals
+    the set computed for the shorter length.
+    """
+    need = [cfg.q for m in cfg.methods if m in ("roache", "eckhoff")]
+    if "gfs" in cfg.methods and cfg.fd_jump_order is None:
+        need.append(4 * cfg.n_modes)
+    return jumps_from_analytic(f, max(need)) if need else None
+
+
+def _leading(jumps, q):
+    """The first q jumps of ``jumps``."""
+    if q < 1:
+        raise ValueError(f"jump count {q} must be >= 1")
+    return JumpData(J=jumps.J[:q], source=jumps.source)
 
 
 def _method_param(cfg, method, N):
@@ -99,25 +111,24 @@ def resolve_prony_M(cfg, N):
     return int(rule)
 
 
-def _run_single(cfg, f, method, N):
-    grid = make_grid(cfg.a, cfg.b, N)
-    u = sample(f, grid)
-    exact = np.array([f.derivative(x, 1) for x in grid.nodes()])
-
+def _run_single(cfg, method, u, exact, analytic):
+    grid = u.grid
     t0 = time.perf_counter()
     if method == "gfs":
-        jumps = _gfs_jumps(cfg, f, u, 4 * cfg.n_modes)
+        q = 4 * cfg.n_modes
+        r = cfg.fd_jump_order
+        jumps = _leading(analytic, q) if r is None else estimate_jumps(u, q, r)
         approx = gfs_derivative(gfs_decompose(u, cfg.n_modes, jumps), 1).values
     elif method == "fft":
         approx = fft_derivative(u).values
     elif method == "fd":
         approx = fd_differentiate(u, cfg.fd_order).values
     elif method == "roache":
-        approx = roache_derivative(u, jumps_from_analytic(f, cfg.q), cfg.q).values
+        approx = roache_derivative(u, _leading(analytic, cfg.q), cfg.q).values
     elif method == "eckhoff":
-        approx = eckhoff_derivative(u, jumps_from_analytic(f, cfg.q)).values
+        approx = eckhoff_derivative(u, _leading(analytic, cfg.q)).values
     elif method == "prony":
-        fit = prony_fit(u, resolve_prony_M(cfg, N))
+        fit = prony_fit(u, resolve_prony_M(cfg, grid.N))
         approx = prony_derivative(fit, grid.nodes())
     else:  # pragma: no cover - guarded in config
         raise ValueError(method)
@@ -131,18 +142,29 @@ def _run_single(cfg, f, method, N):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Compute first-derivative errors for every (method, N) pair.
 
+    Each grid is sampled, and its exact derivative computed, once; analytic
+    jumps come from one catalog pass per run. Both happen before any
+    method's timed window, so ``wall_ms`` covers the method's own work
+    (FD jump estimation included).
+
     Method-level numerical failures (Prony ill-conditioning, grids too
     small for the requested stencils) become rows with infinite error and
     a reason tag rather than aborting the run.
     """
     f = get_function(cfg.function, **cfg.params)
+    signals = {}
+    for N in set(cfg.N_list):
+        grid = make_grid(cfg.a, cfg.b, N)
+        signals[N] = (sample(f, grid),
+                      np.array([f.derivative(x, 1) for x in grid.nodes()]))
+    analytic = _analytic_jumps(cfg, f)
     rows = []
     for method in sorted(cfg.methods):
         for N in sorted(cfg.N_list):
             jump_src = cfg.jump_source if method == "gfs" else (
                 "analytic" if method in ("roache", "eckhoff") else "")
             try:
-                e_inf, e_2, wall_ms = _run_single(cfg, f, method, N)
+                e_inf, e_2, wall_ms = _run_single(cfg, method, *signals[N], analytic)
                 note = ""
             except (IllConditioned, GridTooSmall) as exc:
                 e_inf = e_2 = math.inf

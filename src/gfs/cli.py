@@ -123,9 +123,11 @@ def _run_leakage(args):
     N = args.N[0] if args.N else 128
     rep = leakage_demo(N, **dict(_parse_param(s) for s in args.param))
     lines = ["quantity,index,value"]
-    for k, a in rep.recovered_sine_modes:
-        lines.append(f"mode_wavenumber,,{k.real:.8f}")
-        lines.append(f"mode_amplitude,,{a.real:.8f}")
+    for j, (k, a) in enumerate(rep.recovered_sine_modes):
+        lines.append(f"mode_wavenumber,{j},{k.real:.8e}")
+        lines.append(f"mode_wavenumber_imag,{j},{k.imag:.8e}")
+        lines.append(f"mode_amplitude,{j},{a.real:.8e}")
+        lines.append(f"mode_amplitude_imag,{j},{a.imag:.8e}")
     for i, v in enumerate(rep.raw_spectrum):
         lines.append(f"raw_spectrum,{i},{v:.5e}")
     for i, v in enumerate(rep.periodic_spectrum):

@@ -73,12 +73,16 @@ def polynomial_roots(coeffs):
         raise ValueError("leading coefficient must be nonzero")
     roots = np.roots(c[::-1])
     scale = np.max(np.abs(c))
-    for r in roots:
-        residual = abs(np.polyval(c[::-1], r))
-        bound = ROOT_RESIDUAL_TOL * scale * max(1.0, abs(r)) ** (c.size - 1)
-        if residual > bound:
-            raise ArithmeticError(
-                f"root residual {residual:.3e} exceeds bound {bound:.3e}")
+    # All roots are checked at once. numpy's array abs and power may round
+    # the last bit differently from scalar abs and pow, so a per-root scalar
+    # check could only disagree on a residual within an ulp of its bound.
+    residual = np.abs(np.polyval(c[::-1], roots))
+    bound = ROOT_RESIDUAL_TOL * scale * np.maximum(1.0, np.abs(roots)) ** (c.size - 1)
+    bad = np.flatnonzero(residual > bound)
+    if bad.size:
+        i = bad[0]
+        raise ArithmeticError(
+            f"root {i} residual {residual[i]:.3e} exceeds bound {bound[i]:.3e}")
     return roots
 
 

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from gfs.baselines import (
     IllConditioned,
+    bernoulli_coefficients,
     bernoulli_polynomial,
     eckhoff_V,
     eckhoff_derivative,
+    eckhoff_singular_derivative,
+    eckhoff_singular_part,
     fft_derivative,
     polynomial_jump,
     prony_derivative,
@@ -19,8 +22,9 @@ from gfs.baselines import (
     roache_derivative,
 )
 from gfs.functions import get_function
-from gfs.grid import SampledSignal, make_grid, sample
-from gfs.jumps import JumpData, jumps_from_analytic
+from gfs.grid import SampledSignal, make_grid, sample, standard_chain_factor, to_standard_interval
+from gfs.jumps import JumpData, jumps_from_analytic, to_standard_jumps
+from gfs.spectral import spectral_derivative_periodic
 
 PI = math.pi
 
@@ -116,6 +120,84 @@ class TestEckhoffDerivative:
         d = eckhoff_derivative(u, jumps)
         np.testing.assert_allclose(d.values, fft_derivative(u).values,
                                    atol=1e-12)
+
+
+def _bernoulli_ref(m, x):
+    return float(np.polyval(bernoulli_coefficients(m)[::-1], x))
+
+
+def _eckhoff_V_ref(m, x, beta=-PI):
+    # per-node scalar definition: math.fmod and the two seam rules
+    xi = math.fmod(x - beta, 2 * PI)
+    if xi < 0.0:
+        xi += 2 * PI
+    if xi == 0.0 and x > beta:
+        xi = 2 * PI
+    return -((2 * PI) ** m) / math.factorial(m + 1) * _bernoulli_ref(m + 1, xi / (2 * PI))
+
+
+def _eckhoff_derivative_ref(u, jumps):
+    grid = u.grid
+    sj = to_standard_jumps(jumps, grid)
+    xs = to_standard_interval(grid.nodes(), grid)
+    s = np.array([sum(-sj.J[m] * _eckhoff_V_ref(m, x) for m in range(sj.q)) for x in xs])
+    s_deriv = []
+    for x in xs:
+        total = -sj.J[0] * (-1.0 / (2 * PI))
+        for m in range(1, sj.q):
+            total += -sj.J[m] * _eckhoff_V_ref(m - 1, x)
+        s_deriv.append(total)
+    smooth_deriv = spectral_derivative_periodic(u.values - s, 1)
+    return (smooth_deriv + np.array(s_deriv)) * standard_chain_factor(grid)
+
+
+ARRAY_INTERVALS = [(-PI, PI), (0.0, 1.0), (-1.0, 2.5)]
+
+
+def _seam_nodes(beta):
+    return np.array([beta, beta + 2 * PI, beta - 1e-12, beta + 1e-12,
+                     beta + 2 * PI - 1e-12, beta + 2 * PI + 1e-12])
+
+
+class TestArrayEqualsScalar:
+    """Array evaluation gives the per-node scalar values bit for bit."""
+
+    @pytest.mark.parametrize("a, b", ARRAY_INTERVALS)
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    def test_bernoulli_polynomial(self, a, b, N):
+        t = (make_grid(a, b, N).nodes() - a) / (b - a)
+        t = np.concatenate([t, [0.0, 1.0, -1e-12, 1e-12, 1 - 1e-12, 1 + 1e-12]])
+        for m in range(1, 14):
+            got = bernoulli_polynomial(m, t)
+            np.testing.assert_array_equal(got, [_bernoulli_ref(m, x) for x in t])
+            assert type(bernoulli_polynomial(m, float(t[3]))) is float
+
+    @pytest.mark.parametrize("a, b", ARRAY_INTERVALS)
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    def test_eckhoff_V(self, a, b, N):
+        for beta in (-PI, a):
+            x = np.concatenate([make_grid(a, b, N).nodes(), _seam_nodes(beta)])
+            for m in range(13):
+                got = eckhoff_V(m, x, beta)
+                np.testing.assert_array_equal(got, [_eckhoff_V_ref(m, v, beta) for v in x])
+                assert type(eckhoff_V(m, float(x[-1]), beta)) is float
+
+    @pytest.mark.parametrize("a, b", ARRAY_INTERVALS)
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    def test_eckhoff_derivative(self, a, b, N):
+        f = get_function("gaussian")
+        u = sample(f, make_grid(a, b, N))
+        jumps = jumps_from_analytic(f, 12)
+        np.testing.assert_array_equal(eckhoff_derivative(u, jumps).values,
+                                      _eckhoff_derivative_ref(u, jumps))
+
+    def test_singular_parts_of_one_jump(self):
+        # q = 1: the singular derivative is a constant, still one per node
+        jumps = JumpData(J=np.array([2 * PI]), source="analytic")
+        x = make_grid(-PI, PI, 32).nodes()
+        np.testing.assert_array_equal(eckhoff_singular_derivative(jumps, x), np.ones(33))
+        np.testing.assert_array_equal(eckhoff_singular_part(jumps, x),
+                                      [-2 * PI * _eckhoff_V_ref(0, v) for v in x])
 
 
 class TestRoache:

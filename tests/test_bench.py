@@ -133,6 +133,27 @@ class TestConvergence:
         assert math.isnan(s) or s < 0
 
 
+def _row_fields(rows):
+    return [(r.method, r.N, r.param, r.jump_source, r.e_inf, r.e_2, r.note) for r in rows]
+
+
+@pytest.mark.parametrize("function, jump_source, q", [
+    ("gaussian", "analytic", 12), ("log_fn", "analytic", 12), ("trig_poly", "analytic", 12),
+    ("gaussian", "fd:6", 12), ("gaussian", "analytic", 8),
+])
+def test_shared_samples_and_jumps_change_no_row(function, jump_source, q):
+    # one run of six methods shares samples, exact derivatives and analytic
+    # jumps (q = 8 takes a slice of the 4n = 12 gfs needs); six one-method
+    # runs prepare their own
+    methods = ("eckhoff", "fd", "fft", "gfs", "prony", "roache")
+    common = dict(function=function, N_list=(32, 64, 128), n_modes=3, q=q,
+                  jump_source=jump_source)
+    joint = run_experiment(ExperimentConfig(methods=methods, **common)).rows
+    single = [row for m in methods
+              for row in run_experiment(ExperimentConfig(methods=(m,), **common)).rows]
+    assert _row_fields(joint) == _row_fields(single)
+
+
 class TestLeakageDemo:
     def test_mode_recovery(self):
         rep = leakage_demo(128)
@@ -245,6 +266,23 @@ class TestCli:
         assert set(spec) == {5, 12}
         assert spec[5] == pytest.approx(0.7, abs=1e-5)
         assert spec[12] == pytest.approx(1.0, abs=1e-5)
+
+    def test_leakage_reports_imaginary_wavenumbers(self, tmp_path):
+        # integer wavenumbers leave only placeholder jumps; one of the modes
+        # fitted to them has a purely imaginary wavenumber
+        out = tmp_path / "leak.csv"
+        rc = cli_main(["leakage", "--N", "128", "--param", "k1=5.0",
+                       "--param", "k2=12.0", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        got = {(q, int(i)): float(v) for q, i, v in rows if q.startswith("mode_")}
+        modes = leakage_demo(128, k1=5.0, k2=12.0).recovered_sine_modes
+        assert len(got) == 4 * len(modes)
+        for j, (k, a) in enumerate(modes):
+            for name, value in (("mode_wavenumber", k), ("mode_amplitude", a)):
+                assert got[(name, j)] == pytest.approx(value.real, rel=1e-8)
+                assert got[(name + "_imag", j)] == pytest.approx(value.imag, rel=1e-8)
+        assert max(abs(got[("mode_wavenumber_imag", j)]) for j in range(len(modes))) > 1.0
 
     @pytest.mark.parametrize("argv", [
         ["leakage", "--N", "128", "--param", "k3=1.5"],

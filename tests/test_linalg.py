@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfs.linalg import (
+    ROOT_RESIDUAL_TOL,
     DegenerateNodes,
     complex_principal_sqrt,
     count_distinct,
@@ -88,6 +89,23 @@ class TestPolynomialRoots:
     def test_zero_leading_coefficient(self):
         with pytest.raises(ValueError):
             polynomial_roots(np.array([1.0, 1.0, 0.0]))
+
+    def test_bad_roots_raise_naming_the_first(self):
+        # two huge roots are fine; the two small ones come out as exact
+        # zeros, where the residual is |c_0| = 8e32
+        c = np.array([8e32, -7e31, -7e30, 1e-16, -1e-39])
+        roots = np.roots(c[::-1])
+        bad = []
+        for i, r in enumerate(roots):  # per-root reference check
+            residual = abs(np.polyval(c[::-1], r))
+            bound = ROOT_RESIDUAL_TOL * np.max(np.abs(c)) * max(1.0, abs(r)) ** (c.size - 1)
+            if residual > bound:
+                bad.append((i, residual, bound))
+        assert len(bad) >= 2
+        i, residual, bound = bad[0]
+        with pytest.raises(ArithmeticError) as exc:
+            polynomial_roots(c)
+        assert str(exc.value) == f"root {i} residual {residual:.3e} exceeds bound {bound:.3e}"
 
     @given(st.lists(st.floats(-3, 3), min_size=2, max_size=6, unique=True))
     @settings(max_examples=40, deadline=None)
