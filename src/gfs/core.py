@@ -133,7 +133,7 @@ def solve_mode_amplitudes(modes, jumps: JumpData, parity):
     Sine family: w_j = 2 u_j sin(k_j pi); cosine family:
     w_j = -2 u_j k_j sin(k_j pi). The returned vector contains the
     unscaled amplitudes u_j (NaN marks modes dropped by the
-    near-harmonic or zero-wavenumber guards).
+    near-harmonic, zero-wavenumber or sin(k pi) overflow guards).
     """
     modes = np.asarray(modes, dtype=complex).ravel()
     n = modes.size
@@ -144,8 +144,13 @@ def solve_mode_amplitudes(modes, jumps: JumpData, parity):
     w = solve_transposed_vandermonde(nodes, J[:n].astype(complex))
     amps = np.empty(n, dtype=complex)
     for j, (k, wj) in enumerate(zip(modes, w)):
-        s = np.sin(k * PI)
-        if abs(s) < NEAR_HARMONIC_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.sin(k * PI)
+        if not np.isfinite(s):
+            # |Im k| pi beyond ~710 overflows sin(k pi); such a mode would
+            # also overflow at the ends of [-pi, pi], so drop it.
+            amps[j] = np.nan
+        elif abs(s) < NEAR_HARMONIC_TOL:
             amps[j] = np.nan  # near-harmonic: no jump content, drop
         elif parity == "even":
             amps[j] = wj / (2.0 * s)
@@ -236,14 +241,35 @@ def evaluate_aperiodic(model: AperiodicModel, x, order=0):
     Derivatives use the phase shift sin(kx + m pi/2); the result's
     imaginary part must stay below the realness tolerance, otherwise the
     conjugate pairing is broken and RealnessViolation is raised.
+
+    Each mode adds its term c * wave(k x + shift), c = a k^order, to the
+    complex total in model order. Two rules skip complex sines and cosines
+    without changing a bit of the result:
+
+    - A real wavenumber (k.imag == 0) takes the float wave of
+      k.real * x + shift: the complex wave of a real argument has that real
+      part and a signed-zero imaginary part, which c * (.) only turns into
+      signed zeros.
+    - A mode whose (k, c) is exactly (conj k_i, conj c_i) of an earlier
+      complex mode i of the same family, as ``_pair_conjugates`` makes
+      partners, adds the conjugate of term i: complex sin, cos, * and **
+      are conjugate-symmetric. Models whose pairs are not exact conjugates
+      take the general path.
     """
     x = np.asarray(x, dtype=float)
     total = np.zeros(x.shape, dtype=complex)
     shift = order * PI / 2.0
-    for k, a in model.sine_modes:
-        total += a * k ** order * np.sin(k * x + shift)
-    for k, a in model.cosine_modes:
-        total += a * k ** order * np.cos(k * x + shift)
+    for wave, modes in ((np.sin, model.sine_modes), (np.cos, model.cosine_modes)):
+        unpaired = {}  # (k, c) -> term, complex modes still without a partner
+        for k, a in modes:
+            c = a * k ** order
+            if k.imag == 0.0:
+                term = c * wave(k.real * x + shift)
+            elif (partner := unpaired.pop((k.conjugate(), c.conjugate()), None)) is not None:
+                term = partner.conjugate()
+            else:
+                term = unpaired[(k, c)] = c * wave(k * x + shift)
+            total += term
     scale = 1.0 + np.max(np.abs(total.real)) if total.size else 1.0
     max_imag = np.max(np.abs(total.imag)) if total.size else 0.0
     if max_imag > REALNESS_TOL * scale:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gfs.bench import (
     run_experiment,
 )
 from gfs.cli import main as cli_main
+from gfs.jumps import _backward_table, _fornberg_table
 
 HEADER = "method,function,N,param,jump_source,e_inf,e_2,wall_ms"
 
@@ -152,6 +154,26 @@ def test_shared_samples_and_jumps_change_no_row(function, jump_source, q):
     single = [row for m in methods
               for row in run_experiment(ExperimentConfig(methods=(m,), **common)).rows]
     assert _row_fields(joint) == _row_fields(single)
+
+
+def test_fd_stencils_are_built_before_the_first_timed_window(monkeypatch):
+    # the first gfs row's wall_ms must not carry the exact stencil tables'
+    # one-off construction
+    _fornberg_table.cache_clear()
+    _backward_table.cache_clear()
+    sizes = []
+    clock = time.perf_counter
+
+    def recording_clock():
+        sizes.append((_fornberg_table.cache_info().currsize,
+                       _backward_table.cache_info().currsize))
+        return clock()
+
+    monkeypatch.setattr(time, "perf_counter", recording_clock)
+    cfg = ExperimentConfig(function="gaussian", methods=("gfs",),
+                           N_list=(64, 128), n_modes=3, jump_source="fd:6")
+    run_experiment(cfg)
+    assert sizes and sizes[0][0] >= 1 and sizes[0][1] >= 1
 
 
 class TestLeakageDemo:

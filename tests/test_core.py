@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfs.core import (
+    REALNESS_TOL,
     AperiodicModel,
+    RealnessViolation,
     build_aperiodic_model,
     evaluate_aperiodic,
     gfs_decompose,
@@ -16,6 +19,7 @@ from gfs.core import (
     model_jump,
     modes_from_symmetric,
     solve_elementary_symmetric,
+    solve_mode_amplitudes,
 )
 from gfs.functions import get_function
 from gfs.grid import make_grid, sample
@@ -87,6 +91,18 @@ class TestModesFromSymmetric:
     def test_negative_root_becomes_imaginary(self):
         k = modes_from_symmetric([-1.0], 1)
         np.testing.assert_allclose(k, [1j])
+
+
+class TestModeAmplitudes:
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_overflowing_sine_drops_the_mode_quietly(self, parity):
+        # sin(300i pi) overflows; the mode is dropped (NaN), no warning
+        jumps = JumpData(J=np.array([1.0, 0.5, 0.25, 0.125]), source="analytic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            amps = solve_mode_amplitudes([300j, 0.4 + 0j], jumps, parity)
+        assert np.isnan(amps[0])
+        assert np.isfinite(amps[1])
 
 
 class TestBuildModel:
@@ -186,6 +202,106 @@ class TestSmallNOracles:
         model = build_aperiodic_model(jumps, 3)
         kept = sorted((k.real, a.real) for k, a in model.sine_modes if abs(a) > 1e-8)
         np.testing.assert_allclose(kept, [(0.7, 2.5), (3.5, 2.5)], rtol=1e-6)
+
+
+def loop_evaluate(model, x, order):
+    """evaluate_aperiodic as two plain loops, a complex wave for every mode."""
+    x = np.asarray(x, dtype=float)
+    total = np.zeros(x.shape, dtype=complex)
+    shift = order * PI / 2.0
+    for k, a in model.sine_modes:
+        total += a * k ** order * np.sin(k * x + shift)
+    for k, a in model.cosine_modes:
+        total += a * k ** order * np.cos(k * x + shift)
+    scale = 1.0 + np.max(np.abs(total.real)) if total.size else 1.0
+    max_imag = np.max(np.abs(total.imag)) if total.size else 0.0
+    if max_imag > REALNESS_TOL * scale:
+        raise RealnessViolation(
+            f"imaginary residual {max_imag:.3e} exceeds {REALNESS_TOL * scale:.3e}")
+    out = total.real
+    return float(out) if out.ndim == 0 else out
+
+
+def fitted_models():
+    cases = [("gaussian", {}), ("multimode", {"n_modes": 4}), ("multimode", {}),
+             ("leakage_demo", {}),
+             # trig_poly draws whose cancelling jumps leave non-empty models:
+             # conjugate pairs, pure-imaginary and nearly real wavenumbers
+             ("trig_poly", {"seed": 1394609703, "max_mode": 5}),
+             ("trig_poly", {"seed": 17790420, "max_mode": 5}),
+             ("trig_poly", {"seed": 552547096, "max_mode": 4}),
+             ("trig_poly", {"seed": 1640795442, "max_mode": 4})]
+    for name, params in cases:
+        jumps = jumps_from_analytic(get_function(name, **params), 16)
+        for n in (2, 3, 4):
+            yield f"{name}{params} n={n}", build_aperiodic_model(jumps, n)
+
+
+HAND_BUILT = {
+    # real wavenumbers with complex amplitudes whose imaginary parts cancel
+    "real_k_complex_amplitude": AperiodicModel(
+        sine_modes=((2.3 + 0j, 0.5 + 0.25j), (0.6, 1.5), (2.3 + 0j, 0.5 - 0.25j)),
+        cosine_modes=((1.7, -0.4 + 0.1j), (1.7, -0.4 - 0.1j))),
+    "conjugate_pair_apart": AperiodicModel(
+        sine_modes=((1.3 + 0.4j, 0.8 - 0.3j), (2.6 + 0j, 0.5 + 0j),
+                    (1.3 - 0.4j, 0.8 + 0.3j)),
+        cosine_modes=((0.9 - 1.2j, 0.2 + 0.7j), (3.1 + 0j, -0.3 + 0j),
+                      (0.9 + 1.2j, 0.2 - 0.7j))),
+    "pair_not_conjugate": AperiodicModel(
+        sine_modes=((1.3 + 0.4j, 0.8 - 0.3j), (1.3 - 0.4j, 0.8 + (0.3 + 1e-15) * 1j))),
+    "pure_imaginary_k": AperiodicModel(
+        sine_modes=((0.9j, 0.7j),),
+        cosine_modes=((1.1j, 0.4 + 0j), (-1.1j, 0.4 + 0j))),
+}
+
+
+def assert_same_bits(got, want):
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestEvaluateSameBits:
+    """The float-wave and conjugate-reuse rules change no bit of the result."""
+
+    POINTS = [make_grid(-PI, PI, 64).nodes(), make_grid(-PI, PI, 1024).nodes(),
+              PI, -PI]
+
+    def check(self, model):
+        for x in self.POINTS:
+            for order in range(4):
+                try:
+                    want = loop_evaluate(model, x, order)
+                except RealnessViolation as exc:
+                    with pytest.raises(RealnessViolation) as got:
+                        evaluate_aperiodic(model, x, order)
+                    assert str(got.value) == str(exc)
+                    continue
+                got = evaluate_aperiodic(model, x, order)
+                assert type(got) is type(want)
+                assert_same_bits(got, want)
+
+    def test_fitted_models(self):
+        for label, model in fitted_models():
+            try:
+                self.check(model)
+            except AssertionError as exc:
+                raise AssertionError(label) from exc
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_models(self, name):
+        self.check(HAND_BUILT[name])
+
+    def test_broken_pair_raises_the_same_message(self):
+        model = AperiodicModel(
+            sine_modes=((1.3 + 0.4j, 0.8 - 0.3j), (2.0 + 0j, 1.0 + 0j),
+                        (1.3 - 0.4j, 0.8 + 0.1j)))
+        x = make_grid(-PI, PI, 64).nodes()
+        with pytest.raises(RealnessViolation) as want:
+            loop_evaluate(model, x, 1)
+        with pytest.raises(RealnessViolation) as got:
+            evaluate_aperiodic(model, x, 1)
+        assert str(got.value) == str(want.value)
 
 
 class TestEvaluate:
