@@ -12,7 +12,7 @@ from gfs.baselines import IllConditioned, eckhoff_derivative, fft_derivative, pr
 from gfs.core import gfs_decompose, gfs_derivative
 from gfs.functions import get_function
 from gfs.grid import lp_error_norm, make_grid, sample
-from gfs.jumps import GridTooSmall, JumpData, estimate_jumps, fd_differentiate, fd_weights, jumps_from_analytic
+from gfs.jumps import GridTooSmall, JumpData, estimate_jumps, fd_differentiate, jump_stencils, jumps_from_analytic
 
 PI = math.pi
 
@@ -159,11 +159,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                       np.array([f.derivative(x, 1) for x in grid.nodes()]))
     analytic = _analytic_jumps(cfg, f)
     if "gfs" in cfg.methods and cfg.fd_jump_order is not None:
-        # Build the exact stencil tables estimate_jumps reads now, so the
-        # first gfs row's wall_ms does not carry their one-off cost.
-        width = 4 * cfg.n_modes - 1 + cfg.fd_jump_order
-        for side in ("forward", "backward"):
-            fd_weights(1, width, side)
+        # Build the stencil tables estimate_jumps reads (exact, then float)
+        # now, so the first gfs row's wall_ms does not carry their one-off cost.
+        jump_stencils(4 * cfg.n_modes - 1 + cfg.fd_jump_order)
     rows = []
     for method in sorted(cfg.methods):
         for N in sorted(cfg.N_list):

@@ -133,7 +133,7 @@ def solve_mode_amplitudes(modes, jumps: JumpData, parity):
     Sine family: w_j = 2 u_j sin(k_j pi); cosine family:
     w_j = -2 u_j k_j sin(k_j pi). The returned vector contains the
     unscaled amplitudes u_j (NaN marks modes dropped by the
-    near-harmonic, zero-wavenumber or sin(k pi) overflow guards).
+    near-harmonic, zero-wavenumber or denominator overflow guards).
     """
     modes = np.asarray(modes, dtype=complex).ravel()
     n = modes.size
@@ -146,9 +146,11 @@ def solve_mode_amplitudes(modes, jumps: JumpData, parity):
     for j, (k, wj) in enumerate(zip(modes, w)):
         with np.errstate(over="ignore", invalid="ignore"):
             s = np.sin(k * PI)
-        if not np.isfinite(s):
-            # |Im k| pi beyond ~710 overflows sin(k pi); such a mode would
-            # also overflow at the ends of [-pi, pi], so drop it.
+            den = 2.0 * s if parity == "even" else 2.0 * k * s
+        if not np.isfinite(den):
+            # |Im k| pi near or beyond ~710 overflows sin(k pi) or the
+            # denominator 2 sin(k pi) / 2 k sin(k pi); such a mode would also
+            # overflow at the ends of [-pi, pi], so drop it.
             amps[j] = np.nan
         elif abs(s) < NEAR_HARMONIC_TOL:
             amps[j] = np.nan  # near-harmonic: no jump content, drop

@@ -8,6 +8,7 @@ symbolic or finite-difference fallback would dominate the error budget.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -57,11 +58,13 @@ def modulated_sine(a=-1.0 / PI, b=0.75):
     )
 
 
+@functools.cache
 def _hermite_coeffs(order):
-    # Physicists' Hermite polynomial coefficients, ascending powers.
+    # Physicists' Hermite polynomial coefficients, ascending powers; a tuple,
+    # so the cached value cannot be changed by a caller.
     h0 = [1.0]
     if order == 0:
-        return h0
+        return tuple(h0)
     h1 = [0.0, 2.0]
     for m in range(1, order):
         # H_{m+1}(t) = 2 t H_m(t) - 2 m H_{m-1}(t)
@@ -71,7 +74,7 @@ def _hermite_coeffs(order):
         for i, c in enumerate(h0):
             nxt[i] -= 2.0 * m * c
         h0, h1 = h1, nxt
-    return h1
+    return tuple(h1)
 
 
 def gaussian(x0=3.0 * PI / 4.0, w=1.0):

@@ -4,8 +4,9 @@ Stencil weights are exact Fractions: the moment matrix is a Vandermonde in
 the node offsets and hopeless in floating point for widths beyond ~15, while
 the exact weights are rationals with small integer structure. Fornberg's
 recursion yields the weights of every derivative order for one offset set in
-a single pass; the result is cached per offset tuple. Backward (right
-boundary) stencils are the forward ones times (-1)^d.
+a single pass; the result is cached per offset tuple, and so is its
+read-only float64 copy, which the estimators read. Backward (right boundary)
+stencils are the forward ones times (-1)^d.
 """
 
 from __future__ import annotations
@@ -100,6 +101,33 @@ def _backward_table(width):
                  for d, row in enumerate(forward))
 
 
+@functools.cache
+def _float_table(offsets):
+    """Read-only float64 copy of the exact stencils on ``offsets``, row d order d.
+
+    The right-boundary offsets 0..-(width-1) read ``_backward_table``, whose
+    rows are the forward rows times (-1)^d, so they need no second Fornberg
+    pass; rounding to the nearest float is symmetric, so those float rows are
+    the forward float rows times (-1)^d.
+    """
+    W = len(offsets)
+    exact = _backward_table(W) if offsets == tuple(range(0, -W, -1)) else _fornberg_table(offsets)
+    table = np.array([[float(w) for w in row] for row in exact])
+    table.flags.writeable = False
+    return table
+
+
+def jump_stencils(width):
+    """Forward and backward float stencil tables of one width, cached.
+
+    Row m of each is the order-m stencil: forward on offsets 0..width-1
+    (left boundary), backward on 0..-(width-1) (right boundary). The arrays
+    are read-only.
+    """
+    width = int(width)
+    return _float_table(tuple(range(width))), _float_table(tuple(range(0, -width, -1)))
+
+
 def fd_weights(d, width, side="forward"):
     """One-sided stencil of the given width for the d-th derivative.
 
@@ -142,6 +170,8 @@ class JumpData:
 def jumps_from_analytic(f, q):
     """Exact jumps from the catalog's closed-form derivatives.
 
+    Each endpoint derivative is evaluated once per order; the jump is
+    u^(m)(pi) - u^(m)(-pi), as ``TestFunction.analytic_jump`` computes it.
     Zero jumps are replaced by 1e-15 to keep the downstream Hankel systems
     formally nonzero. A jump also counts as zero when it is pure floating
     point cancellation between two large endpoint derivatives (a periodic
@@ -149,8 +179,10 @@ def jumps_from_analytic(f, q):
     """
     J = np.empty(q)
     for m in range(q):
-        jm = f.analytic_jump(m)
-        scale = max(abs(f.derivative(-math.pi, m)), abs(f.derivative(math.pi, m)))
+        hi = f.derivative(math.pi, m)
+        lo = f.derivative(-math.pi, m)
+        jm = hi - lo
+        scale = max(abs(lo), abs(hi))
         if jm == 0.0 or abs(jm) <= 1e-12 * scale:
             jm = ZERO_JUMP_REGULARIZATION
         J[m] = jm
@@ -176,12 +208,14 @@ def estimate_jumps(u: SampledSignal, q, r):
     J = np.empty(q)
     J[0] = u.values[-1] - u.values[0]
     dx = grid.dx
-    for m in range(1, q):
-        fw = fd_weights(m, W, "forward").as_floats()
-        bw = fd_weights(m, W, "backward").as_floats()
-        left = fw @ u.values[:W] / dx ** m
-        right = bw @ u.values[-1:-W - 1:-1] / dx ** m
-        J[m] = right - left
+    if q > 1:
+        F, B = jump_stencils(W)
+        head = u.values[:W]
+        tail = u.values[-1:-W - 1:-1]
+        for m in range(1, q):
+            left = F[m] @ head / dx ** m
+            right = B[m] @ tail / dx ** m
+            J[m] = right - left
     return JumpData(J=J, source=f"fd:{r}")
 
 
@@ -218,17 +252,14 @@ def fd_differentiate(u: SampledSignal, r=6):
     dx = grid.dx
     out = np.empty(N + 1)
 
-    central = np.array([float(w) for w in
-                        stencil_weights_at_offsets(1, range(-half, half + 1))])
+    central = _float_table(tuple(range(-half, half + 1)))[1]
     interior = slice(half, N - half + 1)
     windows = np.lib.stride_tricks.sliding_window_view(u.values, r + 1)
     out[interior] = windows @ central / dx
 
     for i in range(half):
-        w_left = np.array([float(c) for c in
-                           stencil_weights_at_offsets(1, range(-i, r + 1 - i))])
+        w_left = _float_table(tuple(range(-i, r + 1 - i)))[1]
         out[i] = w_left @ u.values[:r + 1] / dx
-        w_right = np.array([float(c) for c in
-                            stencil_weights_at_offsets(1, range(-(r - i), i + 1))])
+        w_right = _float_table(tuple(range(-(r - i), i + 1)))[1]
         out[N - i] = w_right @ u.values[N - r:] / dx
     return SampledSignal(grid, out)

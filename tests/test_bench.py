@@ -14,7 +14,7 @@ from gfs.bench import (
     run_experiment,
 )
 from gfs.cli import main as cli_main
-from gfs.jumps import _backward_table, _fornberg_table
+from gfs.jumps import _backward_table, _float_table, _fornberg_table
 
 HEADER = "method,function,N,param,jump_source,e_inf,e_2,wall_ms"
 
@@ -157,16 +157,18 @@ def test_shared_samples_and_jumps_change_no_row(function, jump_source, q):
 
 
 def test_fd_stencils_are_built_before_the_first_timed_window(monkeypatch):
-    # the first gfs row's wall_ms must not carry the exact stencil tables'
-    # one-off construction
+    # the first gfs row's wall_ms must not carry the one-off construction of
+    # the exact stencil tables or of the float copies estimate_jumps reads
     _fornberg_table.cache_clear()
     _backward_table.cache_clear()
+    _float_table.cache_clear()
     sizes = []
     clock = time.perf_counter
 
     def recording_clock():
         sizes.append((_fornberg_table.cache_info().currsize,
-                       _backward_table.cache_info().currsize))
+                       _backward_table.cache_info().currsize,
+                       _float_table.cache_info().currsize))
         return clock()
 
     monkeypatch.setattr(time, "perf_counter", recording_clock)
@@ -174,6 +176,10 @@ def test_fd_stencils_are_built_before_the_first_timed_window(monkeypatch):
                            N_list=(64, 128), n_modes=3, jump_source="fd:6")
     run_experiment(cfg)
     assert sizes and sizes[0][0] >= 1 and sizes[0][1] >= 1
+    # forward and backward float tables of width 4 * 3 - 1 + 6, and no
+    # table is built inside a timed window
+    assert sizes[0][2] >= 2
+    assert sizes[-1] == sizes[0]
 
 
 class TestLeakageDemo:

@@ -104,6 +104,18 @@ class TestModeAmplitudes:
         assert np.isnan(amps[0])
         assert np.isfinite(amps[1])
 
+    @pytest.mark.parametrize("parity, k", [("odd", 0.5 + 225j), ("even", 0.5 + 226j)])
+    def test_overflowing_denominator_drops_the_mode_quietly(self, parity, k):
+        # sin(k pi) is finite, but 2 k sin(k pi) (cosine family) or
+        # 2 sin(k pi) (sine family) overflows: dropped (NaN), no warning
+        assert np.isfinite(np.sin(k * PI))
+        jumps = JumpData(J=np.array([1.0, 0.5, 0.25, 0.125]), source="analytic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            amps = solve_mode_amplitudes([k, 0.4 + 0j], jumps, parity)
+        assert np.isnan(amps[0])
+        assert np.isfinite(amps[1])
+
 
 class TestBuildModel:
     def test_regularized_jumps_give_empty_model(self):

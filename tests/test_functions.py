@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gfs.functions import (
     DERIVATIVE_ORDER_MAX,
     FUNCTION_CATALOG,
+    _hermite_coeffs,
     get_function,
     multimode_wavenumbers,
 )
@@ -120,3 +121,40 @@ def test_modulated_sine_high_order_against_mpmath():
     for order in (5, 11, 17):
         exact = float(mp.diff(g, 0.4, order))
         assert f.derivative(0.4, order) == pytest.approx(exact, rel=1e-9)
+
+
+def _hermite_coeffs_uncached(order):
+    # the recurrence of gfs.functions._hermite_coeffs, rebuilt on every call
+    h0 = [1.0]
+    if order == 0:
+        return h0
+    h1 = [0.0, 2.0]
+    for m in range(1, order):
+        nxt = [0.0] * (m + 2)
+        for i, c in enumerate(h1):
+            nxt[i + 1] += 2.0 * c
+        for i, c in enumerate(h0):
+            nxt[i] -= 2.0 * m * c
+        h0, h1 = h1, nxt
+    return h1
+
+
+class TestHermiteCache:
+    def test_cached_coefficients_are_a_tuple(self):
+        h = _hermite_coeffs(7)
+        assert isinstance(h, tuple)
+        assert _hermite_coeffs(7) is h
+        with pytest.raises(TypeError):
+            h[0] = 1.0
+
+    @pytest.mark.parametrize("x0, w", [(3.0 * PI / 4.0, 1.0), (2.3, 0.9), (-1.1, 1.3)])
+    def test_gaussian_derivatives_equal_the_uncached_reference(self, x0, w):
+        f = get_function("gaussian", x0=x0, w=w)
+        for x in (-PI, -0.7, 0.0, 1.9, PI):
+            t = (x - x0) / w
+            for order in range(DERIVATIVE_ORDER_MAX + 1):
+                h = _hermite_coeffs_uncached(order)
+                ht = sum(c * t ** i for i, c in enumerate(h))
+                expected = (-1.0 / w) ** order * ht * math.exp(-t * t)
+                got = f.derivative(x, order)
+                assert np.float64(got).view(np.uint64) == np.float64(expected).view(np.uint64)

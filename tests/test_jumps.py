@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfs.functions import get_function
+from gfs.functions import FUNCTION_CATALOG, get_function
 from gfs.grid import make_grid, sample
 from gfs.jumps import (
     GridTooSmall,
     ZERO_JUMP_REGULARIZATION,
+    _backward_table,
+    _float_table,
+    _fornberg_table,
     estimate_jumps,
     fd_differentiate,
     fd_weights,
+    jump_stencils,
     jumps_from_analytic,
     stencil_weights_at_offsets,
     to_standard_jumps,
@@ -203,3 +207,158 @@ class TestFdDifferentiate:
             errs.append(np.max(np.abs(fd_differentiate(u, 6).values - exact)))
         slope = np.polyfit(np.log([64, 128, 256]), np.log(errs), 1)[0]
         assert -7 <= slope <= -5
+
+
+# Inline copies of the earlier implementations, which evaluated every
+# endpoint derivative twice and converted the exact stencils to floats on
+# every call. The current code must reproduce them bit for bit.
+
+def _old_jumps_from_analytic(f, q):
+    J = np.empty(q)
+    for m in range(q):
+        jm = f.analytic_jump(m)
+        scale = max(abs(f.derivative(-PI, m)), abs(f.derivative(PI, m)))
+        if jm == 0.0 or abs(jm) <= 1e-12 * scale:
+            jm = ZERO_JUMP_REGULARIZATION
+        J[m] = jm
+    return J
+
+
+def _old_estimate_jumps(u, q, r):
+    W = q - 1 + r
+    J = np.empty(q)
+    J[0] = u.values[-1] - u.values[0]
+    dx = u.grid.dx
+    for m in range(1, q):
+        fw = fd_weights(m, W, "forward").as_floats()
+        bw = fd_weights(m, W, "backward").as_floats()
+        left = fw @ u.values[:W] / dx ** m
+        right = bw @ u.values[-1:-W - 1:-1] / dx ** m
+        J[m] = right - left
+    return J
+
+
+def _old_fd_differentiate(u, r):
+    N = u.grid.N
+    half = r // 2
+    dx = u.grid.dx
+    out = np.empty(N + 1)
+    central = np.array([float(w) for w in
+                        stencil_weights_at_offsets(1, range(-half, half + 1))])
+    windows = np.lib.stride_tricks.sliding_window_view(u.values, r + 1)
+    out[half:N - half + 1] = windows @ central / dx
+    for i in range(half):
+        w_left = np.array([float(c) for c in
+                           stencil_weights_at_offsets(1, range(-i, r + 1 - i))])
+        out[i] = w_left @ u.values[:r + 1] / dx
+        w_right = np.array([float(c) for c in
+                            stencil_weights_at_offsets(1, range(-(r - i), i + 1))])
+        out[N - i] = w_right @ u.values[N - r:] / dx
+    return out
+
+
+def assert_same_bits(got, expected):
+    got = np.ascontiguousarray(got, dtype=np.float64)
+    expected = np.ascontiguousarray(expected, dtype=np.float64)
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _drawn_params(name, rng):
+    if name == "gaussian":
+        return {"x0": rng.uniform(0.5 * PI, 0.9 * PI), "w": rng.uniform(0.8, 1.2)}
+    if name == "modulated_sine":
+        return {"a": rng.uniform(-0.5, -0.2), "b": rng.uniform(0.5, 1.0)}
+    if name == "leakage_demo":
+        return {"k1": rng.uniform(5.0, 5.6), "k2": rng.uniform(12.1, 12.7),
+                "a1": rng.uniform(0.5, 0.9), "a2": rng.uniform(0.8, 1.2)}
+    if name == "multimode":
+        return {"n_modes": int(rng.integers(2, 31))}
+    if name == "trig_poly":
+        return {"seed": int(rng.integers(0, 2 ** 31)), "max_mode": int(rng.integers(3, 8))}
+    if name == "monomial":
+        return {"m": int(rng.integers(1, 6))}
+    return {}
+
+
+def _catalog_functions(seed):
+    rng = np.random.default_rng(seed)
+    fs = []
+    for name in sorted(FUNCTION_CATALOG):
+        fs.append(get_function(name))
+        for _ in range(3):
+            fs.append(get_function(name, **_drawn_params(name, rng)))
+    return fs
+
+
+def _clear_stencil_caches():
+    _float_table.cache_clear()
+    _backward_table.cache_clear()
+    _fornberg_table.cache_clear()
+
+
+class TestSameBitsAsBefore:
+    @pytest.mark.parametrize("q", [1, 2, 7, 12, 16, 24])
+    def test_analytic_jumps(self, q):
+        for f in _catalog_functions(1):
+            assert_same_bits(jumps_from_analytic(f, q).J, _old_jumps_from_analytic(f, q))
+
+    def _signals(self, width, seed):
+        # zero, random and catalog samples on drawn intervals; the first
+        # grid is the smallest estimate_jumps accepts at this width
+        rng = np.random.default_rng(seed)
+        signals = []
+        for N in (2 * width, 64, 257):
+            a = rng.uniform(-3.0, -2.0)  # log_fn needs x > -pi - 1/2
+            grid = make_grid(a, a + rng.uniform(4.0, 6.0), N)
+            signals.append(sample(lambda x: 0.0, grid))
+            signals.append(type(signals[-1])(grid, rng.standard_normal(N + 1)))
+            for f in _catalog_functions(seed)[::4]:
+                signals.append(sample(f.value, grid))
+        return signals
+
+    @pytest.mark.parametrize("width", range(13, 30))
+    def test_estimate_jumps_cold_and_warm(self, width):
+        r = 6
+        q = width + 1 - r
+        signals = self._signals(width, width)
+        _clear_stencil_caches()
+        cold = [estimate_jumps(u, q, r).J for u in signals]
+        for u, J in zip(signals, cold):
+            expected = _old_estimate_jumps(u, q, r)
+            assert_same_bits(J, expected)
+            assert_same_bits(estimate_jumps(u, q, r).J, expected)
+
+    @pytest.mark.parametrize("r", [2, 4, 6, 8])
+    def test_fd_differentiate(self, r):
+        signals = self._signals(8, r)
+        _clear_stencil_caches()
+        cold = [fd_differentiate(u, r).values for u in signals]
+        for u, du in zip(signals, cold):
+            expected = _old_fd_differentiate(u, r)
+            assert_same_bits(du, expected)
+            assert_same_bits(fd_differentiate(u, r).values, expected)
+
+
+class TestStencilCacheIsReadOnly:
+    def test_jump_stencils_reject_writes(self):
+        F, B = jump_stencils(13)
+        assert F.shape == B.shape == (13, 13)
+        for table in (F, B):
+            with pytest.raises(ValueError):
+                table[1, 0] = 0.0
+            with pytest.raises(ValueError):
+                table[1] *= 2.0
+        assert jump_stencils(13)[0] is F
+
+    def test_rows_match_the_exact_stencils(self):
+        F, B = jump_stencils(17)
+        for d in range(17):
+            assert_same_bits(F[d], fd_weights(d, 17, "forward").as_floats())
+            assert_same_bits(B[d], fd_weights(d, 17, "backward").as_floats())
+            assert_same_bits(B[d], (-1.0) ** d * F[d])
+
+    def test_off_centre_tables_reject_writes(self):
+        table = _float_table((-1, 0, 1, 2, 3))
+        with pytest.raises(ValueError):
+            table[1, 1] = 0.0
