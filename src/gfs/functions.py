@@ -184,33 +184,6 @@ def trig_poly(seed=0, max_mode=5):
     )
 
 
-def nonharmonic_sum(sin_modes=(), sin_amps=(), cos_modes=(), cos_amps=()):
-    """Explicit sum of sines/cosines with arbitrary real wavenumbers.
-
-    Used by recovery property tests, where the exact modes are known.
-    """
-    ks = np.asarray(sin_modes, dtype=float)
-    us = np.asarray(sin_amps, dtype=float)
-    kc = np.asarray(cos_modes, dtype=float)
-    uc = np.asarray(cos_amps, dtype=float)
-
-    def deriv(x, order):
-        total = 0.0
-        if ks.size:
-            total += float(np.sum(us * _sin_shifted(ks, x, order)))
-        if kc.size:
-            total += float(np.sum(uc * _cos_shifted(kc, x, order)))
-        return total
-
-    return TestFunction(
-        name="nonharmonic_sum",
-        params={"sin_modes": tuple(ks), "sin_amps": tuple(us),
-                "cos_modes": tuple(kc), "cos_amps": tuple(uc)},
-        value=lambda x: deriv(x, 0),
-        derivative=deriv,
-    )
-
-
 FUNCTION_CATALOG = {
     "modulated_sine": modulated_sine,
     "gaussian": gaussian,

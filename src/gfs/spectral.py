@@ -1,9 +1,12 @@
 """FFT spectral differentiation on the standard interval [-pi, pi].
 
 Nodes 0..N-1 are used (the node-N value equals node 0 by periodicity);
-wavenumbers are the integers -ceil(N/2)+1..floor(N/2). For even N and odd
-derivative order the Nyquist mode's contribution is zeroed, the standard
-choice for real signals.
+wavenumbers are the integers -ceil(N/2)+1..floor(N/2). The samples are
+real, so a real FFT (``rfft``/``irfft``) over the wavenumbers 0..floor(N/2)
+carries the whole spectrum at about half the cost of the complex pair. For
+even N and odd derivative order the Nyquist mode's contribution is zeroed,
+the standard choice for real signals: its multiplier (i N/2)^order is then
+purely imaginary, and ``irfft`` keeps only the real part of that bin.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ def spectral_derivative_periodic(values, order=1):
     values = np.asarray(values, dtype=float)
     N = values.size - 1
     u = values[:N]
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    mult = (1j * k) ** order
-    if N % 2 == 0 and order % 2 == 1:
-        mult[N // 2] = 0.0
-    du = np.fft.ifft(np.fft.fft(u) * mult).real
+    mult = (1j * np.arange(N // 2 + 1)) ** order
+    du = np.fft.irfft(np.fft.rfft(u) * mult, n=N)
     return np.concatenate([du, du[:1]])

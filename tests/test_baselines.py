@@ -61,6 +61,41 @@ class TestFftDerivative:
         assert d.values[0] == pytest.approx(d.values[-1])
 
 
+def _complex_fft_derivative(values, order):
+    """The complex fft/ifft form spectral_derivative_periodic had before rfft."""
+    N = values.size - 1
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    mult = (1j * k) ** order
+    if N % 2 == 0 and order % 2 == 1:
+        mult[N // 2] = 0.0
+    du = np.fft.ifft(np.fft.fft(values[:N]) * mult).real
+    return np.concatenate([du, du[:1]])
+
+
+class TestRealFft:
+    @pytest.mark.parametrize("N", [8, 9, 64, 65, 1000, 1023, 4096])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_the_complex_fft_form(self, N, order):
+        rng = np.random.default_rng(N * 10 + order)
+        values = rng.standard_normal(N + 1)
+        values[N] = values[0]
+        want = _complex_fft_derivative(values, order)
+        got = spectral_derivative_periodic(values, order)
+        assert got.shape == want.shape and got[-1] == got[0]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_nyquist_mode(self, order):
+        # an odd derivative of the Nyquist mode cos(N x / 2) is zeroed; an
+        # even one is (-1)^(order/2) (N/2)^order times the mode
+        N = 16
+        x = make_grid(-PI, PI, N).nodes()
+        nyquist = np.cos(N / 2 * x)
+        got = spectral_derivative_periodic(nyquist, order)
+        want = 0.0 * x if order % 2 else (-1) ** (order // 2) * (N / 2) ** order * nyquist
+        np.testing.assert_allclose(got, want, atol=1e-9)
+
+
 class TestBernoulli:
     def test_b1_midpoint(self):
         assert bernoulli_polynomial(1, 0.5) == pytest.approx(0.0)

@@ -7,6 +7,7 @@ import pytest
 from gfs.bench import (
     ExperimentConfig,
     ExperimentReport,
+    _warm_up_numpy,
     convergence_sweep,
     emit_csv,
     leakage_demo,
@@ -158,17 +159,20 @@ def test_shared_samples_and_jumps_change_no_row(function, jump_source, q):
 
 def test_fd_stencils_are_built_before_the_first_timed_window(monkeypatch):
     # the first gfs row's wall_ms must not carry the one-off construction of
-    # the exact stencil tables or of the float copies estimate_jumps reads
+    # the exact stencil tables or of the float copies estimate_jumps reads,
+    # nor numpy's first FFT and LAPACK calls
     _fornberg_table.cache_clear()
     _backward_table.cache_clear()
     _float_table.cache_clear()
+    _warm_up_numpy.cache_clear()
     sizes = []
     clock = time.perf_counter
 
     def recording_clock():
         sizes.append((_fornberg_table.cache_info().currsize,
                        _backward_table.cache_info().currsize,
-                       _float_table.cache_info().currsize))
+                       _float_table.cache_info().currsize,
+                       _warm_up_numpy.cache_info().currsize))
         return clock()
 
     monkeypatch.setattr(time, "perf_counter", recording_clock)
@@ -179,6 +183,8 @@ def test_fd_stencils_are_built_before_the_first_timed_window(monkeypatch):
     # forward and backward float tables of width 4 * 3 - 1 + 6, and no
     # table is built inside a timed window
     assert sizes[0][2] >= 2
+    # the numpy warm-up ran before the first timed window
+    assert sizes[0][3] == 1
     assert sizes[-1] == sizes[0]
 
 

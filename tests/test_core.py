@@ -11,6 +11,8 @@ from gfs.core import (
     REALNESS_TOL,
     AperiodicModel,
     RealnessViolation,
+    _uniform_step,
+    _wave,
     build_aperiodic_model,
     evaluate_aperiodic,
     gfs_decompose,
@@ -273,11 +275,22 @@ def assert_same_bits(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def nudged_nodes(N, j, dx):
+    x = make_grid(-PI, PI, N).nodes()
+    x[j] += dx
+    return x
+
+
 class TestEvaluateSameBits:
-    """The float-wave and conjugate-reuse rules change no bit of the result."""
+    """The float-wave and conjugate-reuse rules change no bit of the result.
+
+    Short or non-uniform arrays keep the direct waves: a 2048-point array
+    and a long grid with one node nudged off uniform spacing are here too.
+    """
 
     POINTS = [make_grid(-PI, PI, 64).nodes(), make_grid(-PI, PI, 1024).nodes(),
-              PI, -PI]
+              np.linspace(-PI, PI, 2048),
+              nudged_nodes(4096, 1234, 1e-12), PI, -PI]
 
     def check(self, model):
         for x in self.POINTS:
@@ -314,6 +327,87 @@ class TestEvaluateSameBits:
         with pytest.raises(RealnessViolation) as got:
             evaluate_aperiodic(model, x, 1)
         assert str(got.value) == str(want.value)
+
+
+EPS = np.finfo(float).eps
+
+
+def draw_wavenumbers(kind, rng, count):
+    if kind == "real":
+        return rng.uniform(-40, 40, count) + 0j
+    if kind == "complex":
+        return rng.uniform(-40, 40, count) + 1j * rng.uniform(-40, 40, count)
+    if kind == "imaginary":
+        return 1j * rng.uniform(-220, 220, count)
+    return rng.uniform(-1e-6, 1e-6, count) + 1j * rng.uniform(-1e-6, 1e-6, count)
+
+
+class TestBlockwiseWaves:
+    """Long uniform arrays take blocked waves: close to the direct ones."""
+
+    def test_the_path_is_chosen_by_size_and_spacing(self):
+        # 2049 points and more: blocked; 2048 points or a nudged node: direct
+        assert _uniform_step(make_grid(-PI, PI, 2048).nodes()) is not None
+        assert _uniform_step(make_grid(0.0, 1.0, 32768).nodes()) is not None
+        assert _uniform_step(np.linspace(-PI, PI, 2048)) is None
+        assert _uniform_step(nudged_nodes(4096, 1234, 1e-12)) is None
+        assert _uniform_step(make_grid(-PI, PI, 4096).nodes().reshape(1, -1)) is None
+        assert _uniform_step(np.full(4097, 1.5)) is None
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "imaginary", "tiny"])
+    @pytest.mark.parametrize("N", [2048, 4096, 32768])
+    def test_blocked_waves_match_direct_waves(self, kind, N):
+        x = make_grid(-PI, PI, N).nodes()
+        h = _uniform_step(x)
+        assert h is not None
+        rng = np.random.default_rng(N + len(kind))
+        for k in draw_wavenumbers(kind, rng, 6):
+            k = k.real if kind == "real" else k
+            for order in range(4):
+                for wave in (np.sin, np.cos):
+                    want = wave(k * x + order * PI / 2.0)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = _wave(wave, k, x, order * PI / 2.0, h)
+                    assert got.dtype == want.dtype
+                    bound = 16 * EPS * (1 + abs(k) * PI) * max(1.0, np.max(np.abs(want)))
+                    assert np.max(np.abs(got - want)) <= bound, (k, order, wave)
+
+    def test_fitted_models_match_the_direct_loop(self):
+        x = make_grid(-PI, PI, 32768).nodes()
+        for label, model in fitted_models():
+            for order in range(4):
+                try:
+                    want = loop_evaluate(model, x, order)
+                except RealnessViolation:
+                    with pytest.raises(RealnessViolation):
+                        evaluate_aperiodic(model, x, order)
+                    continue
+                got = evaluate_aperiodic(model, x, order)
+                scale = max((abs(k) for k, _ in model.sine_modes + model.cosine_modes),
+                            default=1.0) ** order
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, scale), label
+
+    def test_broken_pair_still_raises(self):
+        model = AperiodicModel(
+            sine_modes=((1.3 + 0.4j, 0.8 - 0.3j), (2.0 + 0j, 1.0 + 0j),
+                        (1.3 - 0.4j, 0.8 + 0.1j)))
+        x = make_grid(-PI, PI, 4096).nodes()
+        assert _uniform_step(x) is not None
+        with pytest.raises(RealnessViolation):
+            evaluate_aperiodic(model, x, 1)
+
+    @pytest.mark.parametrize("family", ["sine_modes", "cosine_modes"])
+    def test_mode_at_the_amplitude_guard_edge(self, family):
+        # |Im k| pi = 710.3: the wave at x = +-pi is within 15% of overflow
+        k = 0.3 + 226.1j
+        model = AperiodicModel(**{family: ((k, 1e-300 + 0j), (k.conjugate(), 1e-300 + 0j))})
+        x = make_grid(-PI, PI, 32768).nodes()
+        for order in range(4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = evaluate_aperiodic(model, x, order)
+            assert np.all(np.isfinite(out))
 
 
 class TestEvaluate:
