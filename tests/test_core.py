@@ -24,8 +24,8 @@ from gfs.core import (
     solve_mode_amplitudes,
 )
 from gfs.functions import get_function
-from gfs.grid import make_grid, sample
-from gfs.jumps import JumpData, jumps_from_analytic
+from gfs.grid import make_grid, sample, to_standard_interval
+from gfs.jumps import JumpData, estimate_jumps, jumps_from_analytic
 from gfs.linalg import complex_principal_sqrt
 
 PI = math.pi
@@ -387,6 +387,50 @@ class TestBlockwiseWaves:
                 scale = max((abs(k) for k, _ in model.sine_modes + model.cosine_modes),
                             default=1.0) ** order
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, scale), label
+
+    # x^3 on this interval with FD jumps (stencil width 4n+5) of its N=256
+    # grid and n=2 fits a cancelling model: the cosine mode k = 1.2e-5i
+    # carries |a| = 3.8e9, |a k| = 4.7e4, against an O(1) function.
+    CUBIC_INTERVAL = (-2.685170396248899, 2.9262462836083394)
+    CANCELLING_MODEL = AperiodicModel(
+        sine_modes=((0.2882965618014804 + 0.3403697647961487j, 17.567387632948275 + 14.379844387542413j),
+                    (0.2882965618014804 - 0.3403697647961487j, 17.567387632948275 - 14.379844387542413j)),
+        cosine_modes=((67.29584003630917j, -1.396211513695034e-103 - 0j),
+                      (1.2264258614055646e-05j, 3835109159.0507197 + 0j)))
+
+    @staticmethod
+    def assert_matches_loop_to_mode_scale(model, x, order):
+        """Blocked sum vs the direct loop, within 16 eps of sum |a k^order| (1+|k| pi) max|wave|."""
+        want = loop_evaluate(model, x, order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate_aperiodic(model, x, order)
+        scale = sum(abs(a * k ** order) * (1 + abs(k) * PI) * math.cosh(k.imag * PI)
+                    for k, a in model.sine_modes + model.cosine_modes)
+        assert np.max(np.abs(got - want)) <= 16 * EPS * max(1.0, scale), order
+
+    @pytest.mark.parametrize("N", [4096, 32768])
+    def test_cancelling_fit_matches_the_direct_loop(self, N):
+        grid = make_grid(*self.CUBIC_INTERVAL, N)
+        xs = to_standard_interval(grid.nodes(), grid)
+        assert _uniform_step(xs) is not None
+        for order in range(4):
+            self.assert_matches_loop_to_mode_scale(self.CANCELLING_MODEL, xs, order)
+
+    @pytest.mark.parametrize("N", [4096, 32768])
+    def test_fd_fit_of_a_cubic_meets_its_tolerance(self, N):
+        # the same cubic, n=2, FD jumps of the long grid itself: blocked
+        # waves stay at the direct loop's accuracy and the derivative within
+        # 1e-4, the tolerance of the cubic n=2 FD-jump benchmark cases
+        grid = make_grid(*self.CUBIC_INTERVAL, N)
+        u = sample(get_function("monomial", m=3), grid)
+        xs = to_standard_interval(grid.nodes(), grid)
+        assert _uniform_step(xs) is not None
+        dec = gfs_decompose(u, 2, estimate_jumps(u, 8, 6))
+        for order in range(2):
+            self.assert_matches_loop_to_mode_scale(dec.aperiodic, xs, order)
+        err = np.max(np.abs(gfs_derivative(dec).values - 3.0 * grid.nodes() ** 2))
+        assert err <= 1e-4
 
     def test_broken_pair_still_raises(self):
         model = AperiodicModel(

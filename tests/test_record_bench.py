@@ -16,8 +16,8 @@ def load_tool():
 
 
 def stub_runner(calls):
-    def run(workload, seed, seconds, trace):
-        calls.append((workload, seed, seconds, trace))
+    def run(workload, seed, trace):
+        calls.append((workload, seed, trace))
         names = BENCHMARK["per_layer" if trace else "end_to_end"]
         diag = {"workload": workload, "meta": {"commit": "abc", "seed": seed},
                 "speed_factor": 1.0, "raised_by_type": {}, "wrong_by_reason": {}}
@@ -29,18 +29,18 @@ def stub_runner(calls):
     return run
 
 
-def test_file_schema(tmp_path):
-    calls = []
-    out = tmp_path / "BENCH_x.json"
+def test_file_schema(monkeypatch, tmp_path):
     tool = load_tool()
-    assert tool.main(["--label", "x", "--seed", "7", "--seconds", "2", "--out", str(out)],
-                     runner=stub_runner(calls)) == 0
-    data = json.loads(out.read_text())
+    monkeypatch.setattr(tool, "ROOT", str(tmp_path))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    calls = []
+    assert tool.main(["--label", "x", "--seed", "7"], runner=stub_runner(calls)) == 0
+    data = json.loads((tmp_path / "BENCH_x.json").read_text())
     workloads = [w["name"] for w in BENCHMARK["workloads"]]
-    # every workload, untraced then traced, at the given seed and length
-    assert calls == [(w, 7, 2.0, trace) for w in workloads for trace in (0, 1)]
+    # every workload, untraced then traced, at the given seed
+    assert calls == [(w, 7, trace) for w in workloads for trace in (0, 1)]
     assert set(data) == {"label", "seed", "seconds", "meta", "runs"}
-    assert (data["label"], data["seed"], data["seconds"]) == ("x", 7, 2.0)
+    assert (data["label"], data["seed"], data["seconds"]) == ("x", 7, BENCHMARK["run_seconds"])
     assert data["meta"]["commit"] == "abc"
     assert set(data["runs"]) == set(workloads)
     for w in workloads:
@@ -52,13 +52,3 @@ def test_file_schema(tmp_path):
             assert set(run["metrics"][BENCHMARK[names][0]["name"]]) == {"value", "unit"}
             assert "functions" not in run["diagnostics"]
             assert run["diagnostics"]["workload"] == w
-
-
-def test_default_seconds_and_path(monkeypatch, tmp_path):
-    tool = load_tool()
-    monkeypatch.setattr(tool, "ROOT", str(tmp_path))
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
-    calls = []
-    tool.main(["--label", "y", "--seed", "3"], runner=stub_runner(calls))
-    assert {c[2] for c in calls} == {BENCHMARK["run_seconds"]}
-    assert json.loads((tmp_path / "BENCH_y.json").read_text())["label"] == "y"

@@ -4,7 +4,8 @@
 
 Runs ``perfbench/run.py`` for every workload that BENCHMARK.json declares,
 untraced and then traced, from the root of this checkout, and writes
-``BENCH_<label>.json`` there (or to ``--out``). The file holds the run
+``BENCH_<label>.json`` there. Each run lasts BENCHMARK.json's
+``run_seconds``, the length every recorded run shares. The file holds the run
 metadata (commit, source hash, Python and numpy versions, nproc, BLAS
 threads, seed) and, for each workload and mode, the run's result line with
 every end-to-end or per-layer metric plus its diagnostics line (speed
@@ -29,8 +30,9 @@ def load_benchmark():
         return json.load(fh)
 
 
-def run_bench(workload, seed, seconds, trace):
+def run_bench(workload, seed, trace):
     """The diagnostics line and the result line of one perfbench run."""
+    seconds = load_benchmark()["run_seconds"]
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
@@ -38,16 +40,17 @@ def run_bench(workload, seed, seconds, trace):
     return diag, result
 
 
-def record(label, seed, seconds, runner=run_bench):
+def record(label, seed, runner=run_bench):
     """The BENCH_<label>.json content: every workload, untraced then traced."""
+    bench = load_benchmark()
     runs = {}
-    for spec in load_benchmark()["workloads"]:
+    for spec in bench["workloads"]:
         for mode, trace in MODES:
-            diag, result = runner(spec["name"], seed, seconds, trace)
+            diag, result = runner(spec["name"], seed, trace)
             diag.pop("functions", None)
             runs.setdefault(spec["name"], {})[mode] = {**result, "diagnostics": diag}
     first = next(iter(runs.values()))["untraced"]
-    return {"label": label, "seed": seed, "seconds": seconds,
+    return {"label": label, "seed": seed, "seconds": bench["run_seconds"],
             "meta": first["diagnostics"]["meta"], "runs": runs}
 
 
@@ -55,13 +58,9 @@ def main(argv=None, runner=run_bench):
     ap = argparse.ArgumentParser(description="write BENCH_<label>.json from perfbench runs")
     ap.add_argument("--label", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run (default: BENCHMARK.json run_seconds)")
-    ap.add_argument("--out", default=None, help="output path (default: BENCH_<label>.json at the root)")
     args = ap.parse_args(argv)
-    seconds = args.seconds if args.seconds is not None else load_benchmark()["run_seconds"]
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.label}.json")
-    data = record(args.label, args.seed, seconds, runner)
+    out = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    data = record(args.label, args.seed, runner)
     with open(out, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
