@@ -19,6 +19,8 @@ PI = math.pi
 
 KNOWN_METHODS = ("gfs", "fft", "fd", "roache", "eckhoff", "prony")
 
+FD_ORDER = 6  # order of the "fd" method's central stencils
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -30,7 +32,6 @@ class ExperimentConfig:
     q: int = 8
     prony_M: str = "N/2"  # "N/2", "Nk", or an integer literal
     jump_source: str = "analytic"  # "analytic" or "fd:<r>"
-    fd_order: int = 6
     a: float = -PI
     b: float = PI
 
@@ -38,8 +39,10 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}; choices {KNOWN_METHODS}")
-        if self.jump_source != "analytic" and not self.jump_source.startswith("fd:"):
-            raise ValueError("jump_source must be 'analytic' or 'fd:<r>'")
+        head, _, r = self.jump_source.partition(":")
+        if self.jump_source != "analytic" and not (head == "fd" and r.isdecimal() and int(r) >= 1):
+            raise ValueError(f"jump_source must be 'analytic' or 'fd:<r>' with an integer r >= 1, "
+                             f"got {self.jump_source!r}")
 
     @property
     def fd_jump_order(self):
@@ -64,12 +67,6 @@ class ExperimentRow:
 @dataclass(frozen=True)
 class ExperimentReport:
     rows: tuple
-
-    def filter(self, method=None, N=None):
-        out = [r for r in self.rows
-               if (method is None or r.method == method)
-               and (N is None or r.N == N)]
-        return ExperimentReport(rows=tuple(out))
 
 
 def _analytic_jumps(cfg, f):
@@ -99,7 +96,7 @@ def _method_param(cfg, method, N):
     if method == "prony":
         return str(resolve_prony_M(cfg, N))
     if method == "fd":
-        return str(cfg.fd_order)
+        return str(FD_ORDER)
     return ""
 
 
@@ -139,7 +136,7 @@ def _run_single(cfg, method, u, exact, analytic):
     elif method == "fft":
         approx = fft_derivative(u).values
     elif method == "fd":
-        approx = fd_differentiate(u, cfg.fd_order).values
+        approx = fd_differentiate(u, FD_ORDER).values
     elif method == "roache":
         approx = roache_derivative(u, _leading(analytic, cfg.q), cfg.q).values
     elif method == "eckhoff":

@@ -4,7 +4,7 @@ Examples:
 
     gfs-bench --function gaussian --method gfs --method fft --N 64 --N 128 \
         --n-modes 3 --jumps analytic --out gaussian.csv
-    gfs-bench --config runs/multimode.cfg
+    gfs-bench @runs/multimode.args --N 256
     gfs-bench --function gaussian --method gfs --N 32 --N 64 --N 128 --sweep
     gfs-bench leakage --N 128 --out leakage.csv
     gfs-bench leakage --N 128 --param k1=5.0 --param k2=12.0
@@ -33,12 +33,13 @@ def _parse_param(text):
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="gfs-bench",
-        description="Spectral-derivative accuracy benchmarks.")
+        description="Spectral-derivative accuracy benchmarks.",
+        epilog="@FILE inserts the flags in FILE, one per line (--n-modes=3); "
+               "a flag given later overrides an earlier one.",
+        fromfile_prefix_chars="@")
     p.add_argument("mode", nargs="?", default="bench", choices=["bench", "leakage"],
                    help="bench (default) runs error tables; leakage runs the "
                         "two-mode spectrum demo")
-    p.add_argument("--config", help="flat key=value config file; command line "
-                                    "flags override its entries")
     p.add_argument("--function", help="catalog function name")
     p.add_argument("--param", action="append", default=[], metavar="K=V",
                    help="function parameter override (repeatable)")
@@ -59,43 +60,6 @@ def _build_parser():
     p.add_argument("--sweep", action="store_true",
                    help="also report log-log convergence slopes (needs >= 3 N)")
     return p
-
-
-def read_config_file(path):
-    """Flat key=value file, one pair per line, # comments allowed.
-
-    List-valued keys (method, N, param) take comma-separated values.
-    """
-    entries = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            entries[key] = val
-    return entries
-
-
-_LIST_KEYS = {"method", "N", "param"}
-
-
-def apply_config(args, entries):
-    """Fill argparse defaults from a config file without clobbering flags."""
-    for key, val in entries.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ValueError(f"unknown config key {key!r}")
-        if key in _LIST_KEYS:
-            parts = [s.strip() for s in val.split(",") if s.strip()]
-            if not getattr(args, attr):
-                setattr(args, attr, [int(s) for s in parts] if key == "N" else parts)
-        elif getattr(args, attr) in (None, _build_parser().get_default(attr)):
-            cast = int if attr in ("n_modes", "q") else str
-            setattr(args, attr, cast(val))
-    return args
 
 
 def _config_from_args(args):
@@ -143,13 +107,11 @@ def _run_leakage(args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            apply_config(args, read_config_file(args.config))
         if args.mode == "leakage":
             _run_leakage(args)
             return 0
         if not args.function:
-            raise ValueError("--function is required (flag or config file)")
+            raise ValueError("--function is required")
         cfg = _config_from_args(args)
         if args.sweep:
             report, slopes = convergence_sweep(cfg)

@@ -4,9 +4,11 @@ Stencil weights are exact Fractions: the moment matrix is a Vandermonde in
 the node offsets and hopeless in floating point for widths beyond ~15, while
 the exact weights are rationals with small integer structure. Fornberg's
 recursion yields the weights of every derivative order for one offset set in
-a single pass; the result is cached per offset tuple, and so is its
-read-only float64 copy, which the estimators read. Backward (right boundary)
-stencils are the forward ones times (-1)^d.
+a single pass, cached per offset tuple. ``fd_weights`` is the one exact
+boundary-stencil accessor: backward (right boundary) stencils are the
+forward ones times (-1)^d. The estimators read read-only float64 copies:
+``jump_stencils`` for the boundary pair, ``_float_table`` for the
+off-centre stencils of ``fd_differentiate``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gfs.grid import SampledSignal
+from gfs.grid import SampledSignal, standard_chain_factor
 
 # Analytic jumps that are exactly zero are replaced by this value so the
 # Hankel systems stay formally nonzero; FD-estimated jumps carry their own
@@ -28,20 +30,6 @@ ZERO_JUMP_REGULARIZATION = 1e-15
 
 class GridTooSmall(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class StencilWeights:
-    d: int
-    weights: tuple  # Fractions, one per stencil node
-    side: str  # "forward" or "backward"
-
-    @property
-    def width(self):
-        return len(self.weights)
-
-    def as_floats(self):
-        return np.array([float(w) for w in self.weights])
 
 
 def stencil_weights_at_offsets(d, offsets):
@@ -90,61 +78,48 @@ def _fornberg_table(offsets):
 
 
 @functools.cache
-def _backward_table(width):
-    """Stencils of every order on offsets 0..-(width-1), the right boundary.
-
-    Mirroring the offsets multiplies the order-d moment conditions by
-    (-1)^d, so row d is the forward row times (-1)^d; no second solve.
-    """
-    forward = _fornberg_table(tuple(range(width)))
-    return tuple(row if d % 2 == 0 else tuple(-w for w in row)
-                 for d, row in enumerate(forward))
-
-
-@functools.cache
 def _float_table(offsets):
-    """Read-only float64 copy of the exact stencils on ``offsets``, row d order d.
+    """Read-only float64 copy of the exact stencils on ``offsets``, row d order d."""
+    return _read_only([[float(w) for w in row] for row in _fornberg_table(offsets)])
 
-    The right-boundary offsets 0..-(width-1) read ``_backward_table``, whose
-    rows are the forward rows times (-1)^d, so they need no second Fornberg
-    pass; rounding to the nearest float is symmetric, so those float rows are
-    the forward float rows times (-1)^d.
-    """
-    W = len(offsets)
-    exact = _backward_table(W) if offsets == tuple(range(0, -W, -1)) else _fornberg_table(offsets)
-    table = np.array([[float(w) for w in row] for row in exact])
+
+def _read_only(rows):
+    table = np.array(rows)
     table.flags.writeable = False
     return table
 
 
-def jump_stencils(width):
-    """Forward and backward float stencil tables of one width, cached.
-
-    Row m of each is the order-m stencil: forward on offsets 0..width-1
-    (left boundary), backward on 0..-(width-1) (right boundary). The arrays
-    are read-only.
-    """
-    width = int(width)
-    return _float_table(tuple(range(width))), _float_table(tuple(range(0, -width, -1)))
-
-
 def fd_weights(d, width, side="forward"):
-    """One-sided stencil of the given width for the d-th derivative.
+    """Exact one-sided stencil of the given width for the d-th derivative.
 
     Forward uses offsets 0..width-1 (left boundary); backward uses
-    0..-(width-1) (right boundary). Formal accuracy is width - d.
+    0..-(width-1) (right boundary). Mirroring the offsets multiplies the
+    order-d moment conditions by (-1)^d, so the backward row is the forward
+    row times (-1)^d and needs no second Fornberg pass. Returns the weights
+    as a tuple of Fractions; formal accuracy is width - d.
     """
     d = int(d)
     width = int(width)
     if not 0 <= d < width:
         raise ValueError(f"derivative order {d} outside 0..{width - 1} for width {width}")
-    if side == "forward":
-        table = _fornberg_table(tuple(range(width)))
-    elif side == "backward":
-        table = _backward_table(width)
-    else:
+    if side not in ("forward", "backward"):
         raise ValueError(f"side must be 'forward' or 'backward', got {side!r}")
-    return StencilWeights(d=d, weights=table[d], side=side)
+    row = _fornberg_table(tuple(range(width)))[d]
+    return tuple(-w for w in row) if side == "backward" and d % 2 else row
+
+
+@functools.cache
+def jump_stencils(width):
+    """Forward and backward float stencil tables of one width, cached.
+
+    Row m of each is the order-m stencil from ``fd_weights``: forward on
+    offsets 0..width-1 (left boundary), backward on 0..-(width-1) (right
+    boundary). Rounding to the nearest float is symmetric, so row m of the
+    backward table is the forward row times (-1)^m. The arrays are read-only.
+    """
+    width = int(width)
+    return tuple(_read_only([[float(w) for w in fd_weights(d, width, side)] for d in range(width)])
+                 for side in ("forward", "backward"))
 
 
 @dataclass(frozen=True)
@@ -200,6 +175,8 @@ def estimate_jumps(u: SampledSignal, q, r):
     r = int(r)
     if q < 1:
         raise ValueError("q must be >= 1")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     grid = u.grid
     W = q - 1 + r
     if q > 1 and grid.N + 1 < 2 * W:
@@ -225,8 +202,6 @@ def to_standard_jumps(jumps: JumpData, grid):
     The affine map x -> x* multiplies the m-th derivative by
     (2 pi / (b - a))^m, so jumps divide by that factor.
     """
-    from gfs.grid import standard_chain_factor
-
     factor = standard_chain_factor(grid)
     if factor == 1.0:
         return jumps

@@ -12,7 +12,7 @@ import numpy as np
 
 # Relative singular-value cutoff per matrix dimension; double-precision
 # SVD noise floor for the well-scaled matrices used here.
-DEFAULT_RANK_TOL_FACTOR = 1e-13
+RANK_TOL_FACTOR = 1e-13
 
 # Two nodes closer than this (relative) make the Vandermonde solve
 # meaningless in double precision.
@@ -30,11 +30,11 @@ class DegenerateNodes(ValueError):
         self.n_distinct = n_distinct
 
 
-def solve_least_squares(A, b, rank_tol=0.0):
+def solve_least_squares(A, b):
     """Minimum-norm least-squares solution of A x = b via SVD.
 
-    Singular values below ``rank_tol * sigma_max`` are treated as zero.
-    ``rank_tol=0`` selects the default ``max(rows, cols) * 1e-13``.
+    Singular values below ``max(rows, cols) * RANK_TOL_FACTOR * sigma_max``
+    are treated as zero.
 
     Returns ``(x, rank)`` where rank is the numerical rank used.
     """
@@ -42,15 +42,11 @@ def solve_least_squares(A, b, rank_tol=0.0):
     b = np.asarray(b, dtype=complex).ravel()
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: A is {A.shape}, b has length {b.shape[0]}")
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
-    if rank_tol == 0.0:
-        rank_tol = max(A.shape) * DEFAULT_RANK_TOL_FACTOR
 
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(A.shape[1], dtype=complex), 0
-    keep = s >= rank_tol * s[0]
+    keep = s >= max(A.shape) * RANK_TOL_FACTOR * s[0]
     rank = int(np.count_nonzero(keep))
     if rank == 0:
         return np.zeros(A.shape[1], dtype=complex), 0

@@ -15,7 +15,7 @@ from gfs.bench import (
     run_experiment,
 )
 from gfs.cli import main as cli_main
-from gfs.jumps import _backward_table, _float_table, _fornberg_table
+from gfs.jumps import _fornberg_table, jump_stencils
 
 HEADER = "method,function,N,param,jump_source,e_inf,e_2,wall_ms"
 
@@ -159,19 +159,17 @@ def test_shared_samples_and_jumps_change_no_row(function, jump_source, q):
 
 def test_fd_stencils_are_built_before_the_first_timed_window(monkeypatch):
     # the first gfs row's wall_ms must not carry the one-off construction of
-    # the exact stencil tables or of the float copies estimate_jumps reads,
+    # the exact stencil table or of the float tables estimate_jumps reads,
     # nor numpy's first FFT and LAPACK calls
     _fornberg_table.cache_clear()
-    _backward_table.cache_clear()
-    _float_table.cache_clear()
+    jump_stencils.cache_clear()
     _warm_up_numpy.cache_clear()
     sizes = []
     clock = time.perf_counter
 
     def recording_clock():
         sizes.append((_fornberg_table.cache_info().currsize,
-                       _backward_table.cache_info().currsize,
-                       _float_table.cache_info().currsize,
+                       jump_stencils.cache_info().currsize,
                        _warm_up_numpy.cache_info().currsize))
         return clock()
 
@@ -179,12 +177,13 @@ def test_fd_stencils_are_built_before_the_first_timed_window(monkeypatch):
     cfg = ExperimentConfig(function="gaussian", methods=("gfs",),
                            N_list=(64, 128), n_modes=3, jump_source="fd:6")
     run_experiment(cfg)
-    assert sizes and sizes[0][0] >= 1 and sizes[0][1] >= 1
-    # forward and backward float tables of width 4 * 3 - 1 + 6, and no
-    # table is built inside a timed window
-    assert sizes[0][2] >= 2
+    # the exact table and the forward and backward float tables of width
+    # 4 * 3 - 1 + 6 exist before the first timed window
+    assert sizes and sizes[0][0] >= 1 and sizes[0][1] == 1
+    assert jump_stencils.cache_info().misses == 1
     # the numpy warm-up ran before the first timed window
-    assert sizes[0][3] == 1
+    assert sizes[0][2] == 1
+    # and no table is built inside a timed window
     assert sizes[-1] == sizes[0]
 
 
@@ -245,26 +244,41 @@ class TestCli:
         assert float(row[5]) <= 1e-10
 
     def test_config_file(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("function = gaussian\n"
-                       "method = gfs, fft\n"
-                       "N = 64\n"
-                       "n-modes = 3\n"
-                       "# comment line\n")
+        # an @file holds flags one per line; flags after it override its
+        # single-valued ones, and repeatable ones add to its lists
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--function=gaussian\n"
+                       "--method=gfs\n"
+                       "--method=fft\n"
+                       "--N=64\n"
+                       "--n-modes=2\n")
         out = tmp_path / "cfg.csv"
-        rc = cli_main(["--config", str(cfg), "--out", str(out)])
+        rc = cli_main([f"@{cfg}", "--n-modes", "3", "--method", "fd", "--out", str(out)])
         assert rc == 0
-        assert len(read_rows(out)) == 2
+        rows = read_rows(out)
+        assert [(r[0], r[2], r[3]) for r in rows] == [
+            ("fd", "64", "6"), ("fft", "64", ""), ("gfs", "64", "3")]
 
     def test_missing_function_is_config_error(self, capsys):
         rc = cli_main(["--method", "gfs"])
         assert rc != 0
 
-    def test_bad_config_file(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("not a key value line\n")
-        rc = cli_main(["--config", str(cfg)])
-        assert rc != 0
+    def test_bad_config_file(self, tmp_path, capsys):
+        # argparse rejects a bad or missing @file like a bad flag: usage and exit 2
+        cfg = tmp_path / "bad.args"
+        cfg.write_text("function = gaussian\n")
+        for argv in ([f"@{cfg}"], [f"@{tmp_path / 'missing.args'}"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 2
+            assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["fd:0", "fd:-2", "fd:x"])
+    def test_degenerate_fd_jump_order(self, source, capsys):
+        rc = cli_main(["--function", "gaussian", "--method", "gfs", "--N", "64",
+                       "--n-modes", "2", "--jumps", source])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: jump_source must be")
 
     def test_unwritable_output_is_io_error(self):
         rc = cli_main(["--function", "gaussian", "--method", "gfs",

@@ -11,7 +11,6 @@ from gfs.grid import make_grid, sample
 from gfs.jumps import (
     GridTooSmall,
     ZERO_JUMP_REGULARIZATION,
-    _backward_table,
     _float_table,
     _fornberg_table,
     estimate_jumps,
@@ -26,24 +25,39 @@ from gfs.jumps import (
 PI = math.pi
 
 
+def floats(weights):
+    return np.array([float(w) for w in weights])
+
+
 class TestStencilWeights:
     def test_two_point_forward(self):
         w = fd_weights(1, 2, "forward")
-        assert w.as_floats() == pytest.approx([-1.0, 1.0])
+        assert floats(w) == pytest.approx([-1.0, 1.0])
 
     def test_three_point_forward_first_derivative(self):
         w = fd_weights(1, 3, "forward")
-        assert list(w.weights) == [Fraction(-3, 2), Fraction(2), Fraction(-1, 2)]
+        assert w == (Fraction(-3, 2), Fraction(2), Fraction(-1, 2))
 
     def test_three_point_forward_second_derivative(self):
         w = fd_weights(2, 3, "forward")
-        assert list(w.weights) == [Fraction(1), Fraction(-2), Fraction(1)]
+        assert w == (Fraction(1), Fraction(-2), Fraction(1))
 
     def test_backward_mirrors_forward(self):
         for d in (1, 2, 3):
-            fw = fd_weights(d, d + 3, "forward").as_floats()
-            bw = fd_weights(d, d + 3, "backward").as_floats()
+            fw = floats(fd_weights(d, d + 3, "forward"))
+            bw = floats(fd_weights(d, d + 3, "backward"))
             assert bw == pytest.approx([(-1) ** d * w for w in fw])
+
+    @given(st.lists(st.integers(-15, 15), min_size=1, max_size=12, unique=True),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mirrored_offsets_flip_odd_orders(self, offsets, data):
+        # Mirror symmetry: negating every offset multiplies the order-d
+        # stencil by (-1)^d exactly. fd_weights builds its backward rows on it.
+        d = data.draw(st.integers(0, len(offsets) - 1))
+        mirrored = stencil_weights_at_offsets(d, [-s for s in offsets])
+        assert mirrored == tuple((-1) ** d * w for w in stencil_weights_at_offsets(d, offsets))
+        assert all(isinstance(w, Fraction) for w in mirrored)
 
     @given(st.integers(1, 23), st.integers(0, 5))
     @settings(max_examples=30, deadline=None)
@@ -75,7 +89,7 @@ class TestStencilWeights:
     def test_backward_moment_conditions_exact(self, width):
         offsets = range(0, -width, -1)
         for d in range(1, min(width, 24)):
-            w = fd_weights(d, width, "backward").weights
+            w = fd_weights(d, width, "backward")
             for n in range(width):
                 acc = sum(c * Fraction(s) ** n for c, s in zip(w, offsets))
                 assert acc == (Fraction(math.factorial(d)) if n == d else 0)
@@ -98,7 +112,7 @@ class TestStencilWeights:
         def p(x):
             return 2 * x ** 5 - x ** 3 + 4 * x - 1
 
-        approx = np.dot(w.as_floats(), p(xs)) / dx ** 3
+        approx = np.dot(floats(w), p(xs)) / dx ** 3
         assert approx == pytest.approx(-6.0, abs=1e-8)
 
 
@@ -131,6 +145,13 @@ class TestEstimateJumps:
         u = sample(math.sin, g)
         with pytest.raises(GridTooSmall):
             estimate_jumps(u, 12, 6)
+
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_stencil_order_below_one(self, r):
+        # width q - 1 + r would leave the order-(q-1) stencil without a row
+        u = sample(math.sin, make_grid(-PI, PI, 64))
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            estimate_jumps(u, 8, r)
 
 
 class TestAnalyticJumps:
@@ -230,8 +251,8 @@ def _old_estimate_jumps(u, q, r):
     J[0] = u.values[-1] - u.values[0]
     dx = u.grid.dx
     for m in range(1, q):
-        fw = fd_weights(m, W, "forward").as_floats()
-        bw = fd_weights(m, W, "backward").as_floats()
+        fw = floats(fd_weights(m, W, "forward"))
+        bw = floats(fd_weights(m, W, "backward"))
         left = fw @ u.values[:W] / dx ** m
         right = bw @ u.values[-1:-W - 1:-1] / dx ** m
         J[m] = right - left
@@ -292,8 +313,8 @@ def _catalog_functions(seed):
 
 
 def _clear_stencil_caches():
+    jump_stencils.cache_clear()
     _float_table.cache_clear()
-    _backward_table.cache_clear()
     _fornberg_table.cache_clear()
 
 
@@ -354,11 +375,33 @@ class TestStencilCacheIsReadOnly:
     def test_rows_match_the_exact_stencils(self):
         F, B = jump_stencils(17)
         for d in range(17):
-            assert_same_bits(F[d], fd_weights(d, 17, "forward").as_floats())
-            assert_same_bits(B[d], fd_weights(d, 17, "backward").as_floats())
+            assert_same_bits(F[d], floats(fd_weights(d, 17, "forward")))
+            assert_same_bits(B[d], floats(fd_weights(d, 17, "backward")))
+            assert_same_bits(B[d], floats(stencil_weights_at_offsets(d, range(0, -17, -1))))
             assert_same_bits(B[d], (-1.0) ** d * F[d])
 
     def test_off_centre_tables_reject_writes(self):
         table = _float_table((-1, 0, 1, 2, 3))
         with pytest.raises(ValueError):
             table[1, 1] = 0.0
+
+
+def test_cold_build_goes_through_fd_weights(monkeypatch):
+    # A wrap of the module attribute (as a tracer installs) sees every row
+    # of a cold jump_stencils build, and no call once the tables are cached.
+    import gfs.jumps
+
+    _clear_stencil_caches()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fd_weights(*args, **kwargs)
+
+    monkeypatch.setattr(gfs.jumps, "fd_weights", counting)
+    jump_stencils(13)
+    assert sorted(calls) == sorted((d, 13, side) for d in range(13)
+                                   for side in ("forward", "backward"))
+    calls.clear()
+    jump_stencils(13)
+    assert calls == []
