@@ -11,7 +11,7 @@ from gfs.grid import GridSpec, SampledSignal, make_grid, sample, lp_error_norm, 
 from gfs.functions import TestFunction, get_function, FUNCTION_CATALOG
 from gfs.jumps import JumpData, fd_weights, estimate_jumps, jumps_from_analytic, fd_differentiate
 from gfs.core import AperiodicModel, GFSDecomposition, build_aperiodic_model, gfs_decompose, gfs_derivative
-from gfs.baselines import PronyFit, fft_derivative, eckhoff_derivative, roache_derivative, prony_fit, prony_derivative, prony_evaluate
+from gfs.baselines import PronyFit, fft_derivative, eckhoff_derivative, roache_derivative, prony_fit, prony_evaluate
 
 __all__ = [
     "GridSpec", "SampledSignal", "make_grid", "sample", "lp_error_norm",
@@ -20,5 +20,5 @@ __all__ = [
     "jumps_from_analytic", "fd_differentiate", "AperiodicModel",
     "GFSDecomposition", "build_aperiodic_model", "gfs_decompose",
     "gfs_derivative", "PronyFit", "fft_derivative", "eckhoff_derivative",
-    "roache_derivative", "prony_fit", "prony_derivative", "prony_evaluate",
+    "roache_derivative", "prony_fit", "prony_evaluate",
 ]

@@ -31,10 +31,6 @@ BERNOULLI_MAX_ORDER = 32
 class IllConditioned(ArithmeticError):
     """A fit became numerically meaningless (expected for Prony at large M)."""
 
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
-
 
 def fft_derivative(u: SampledSignal, order=1):
     """Raw FFT spectral derivative; Gibbs oscillations for non-periodic input."""
@@ -66,37 +62,31 @@ def bernoulli_coefficients(m):
     return tuple(float(Fraction(comb(m, m - j)) * nums[m - j]) for j in range(m + 1))
 
 
-def _float_if_scalar(x, values):
-    """``values`` as a Python float for scalar ``x``, else as an array."""
-    return float(values) if np.ndim(x) == 0 else values
-
-
 def bernoulli_polynomial(m, x):
     """B_m(x), typically evaluated for x in [0, 1]; x may be an array."""
     coeffs = bernoulli_coefficients(m)
-    return _float_if_scalar(x, np.polyval(coeffs[::-1], x))
+    return np.polyval(coeffs[::-1], x)
 
 
-def eckhoff_V(m, x, beta=-PI):
-    """Periodic singular basis V_m(x; beta) built from B_{m+1}; x may be an array.
+def eckhoff_V(m, x):
+    """Periodic singular basis V_m(x) built from B_{m+1}; x may be an array.
 
-    V_m(x; beta) = -(2 pi)^m / (m+1)! * B_{m+1}(xi / 2 pi) with
-    xi = mod(x - beta, 2 pi). The seam sits at x = beta: evaluation at the
+    V_m(x) = -(2 pi)^m / (m+1)! * B_{m+1}(xi / 2 pi) with
+    xi = mod(x + pi, 2 pi). The seam sits at x = -pi: evaluation at the
     right end of the period uses xi = 2 pi (interior limit), so both
-    endpoint nodes of [beta, beta + 2 pi] get their one-sided values.
+    endpoint nodes of [-pi, pi] get their one-sided values.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    xi = np.fmod(x - beta, TWO_PI)
+    xi = np.fmod(x + PI, TWO_PI)
     xi = np.where(xi < 0.0, xi + TWO_PI, xi)
-    xi = np.where((xi == 0.0) & (x > beta), TWO_PI, xi)
-    V = -(TWO_PI ** m) / factorial(m + 1) * bernoulli_polynomial(m + 1, xi / TWO_PI)
-    return _float_if_scalar(x, V)
+    xi = np.where((xi == 0.0) & (x > -PI), TWO_PI, xi)
+    return -(TWO_PI ** m) / factorial(m + 1) * bernoulli_polynomial(m + 1, xi / TWO_PI)
 
 
 def eckhoff_singular_part(jumps: JumpData, x):
-    """s(x) = sum_m A^m V_m(x; -pi) with A^m = -J_m; x may be an array."""
-    return _float_if_scalar(x, sum(-jumps.J[m] * eckhoff_V(m, x) for m in range(jumps.q)))
+    """s(x) = sum_m A^m V_m(x) with A^m = -J_m; x may be an array."""
+    return sum(-jumps.J[m] * eckhoff_V(m, x) for m in range(jumps.q))
 
 
 def eckhoff_singular_derivative(jumps: JumpData, x):
@@ -104,7 +94,7 @@ def eckhoff_singular_derivative(jumps: JumpData, x):
     total = np.full(np.shape(x), -jumps.J[0] * (-1.0 / TWO_PI))
     for m in range(1, jumps.q):
         total += -jumps.J[m] * eckhoff_V(m - 1, x)
-    return _float_if_scalar(x, total)
+    return total
 
 
 def eckhoff_derivative(u: SampledSignal, jumps: JumpData):
@@ -193,10 +183,6 @@ class PronyFit:
     dx: float
     x0: float
 
-    @property
-    def M(self):
-        return self.c.size
-
 
 def prony_fit(u: SampledSignal, M):
     """Fit an M-term exponential sum to the first 2M samples.
@@ -227,30 +213,28 @@ def prony_fit(u: SampledSignal, M):
         p, _ = solve_least_squares(H, rhs)
     if not np.all(np.isfinite(p)):
         raise IllConditioned("Prony polynomial coefficients are non-finite")
-    cond = float(np.linalg.cond(H))
 
     coeffs = np.concatenate([p, [1.0]])  # ascending: p_0 .. p_{M-1}, p_M = 1
     try:
         z = polynomial_roots(coeffs)
     except ArithmeticError as exc:
-        raise IllConditioned(f"Prony polynomial rooting failed: {exc}",
-                             condition=cond) from exc
+        raise IllConditioned(f"Prony polynomial rooting failed: {exc}") from exc
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = np.log(z) / dx
     if not np.all(np.isfinite(phi)):
-        raise IllConditioned("Prony exponents are non-finite", condition=cond)
+        raise IllConditioned("Prony exponents are non-finite")
 
     V = vandermonde_matrix(z)
     c = np.linalg.lstsq(V, h[:M].astype(complex), rcond=None)[0]
     if not np.all(np.isfinite(c)):
-        raise IllConditioned("Prony amplitudes are non-finite", condition=cond)
+        raise IllConditioned("Prony amplitudes are non-finite")
 
     fit = PronyFit(c=c, phi=phi, dx=dx, x0=float(u.grid.a))
-    _check_prony_growth(fit, u.grid.length, h, cond)
+    _check_prony_growth(fit, u.grid.length, h)
     return fit
 
 
-def _check_prony_growth(fit, length, h, cond):
+def _check_prony_growth(fit, length, h):
     """Reject fits whose modes dwarf the data anywhere in the domain."""
     scale = max(1.0, float(np.max(np.abs(h))))
     with np.errstate(over="ignore"):
@@ -258,8 +242,7 @@ def _check_prony_growth(fit, length, h, cond):
     worst = float(np.max(peak))
     if not math.isfinite(worst) or worst > PRONY_GROWTH_LIMIT * scale:
         raise IllConditioned(
-            f"Prony mode amplification {worst:.2e} exceeds the data scale",
-            condition=cond)
+            f"Prony mode amplification {worst:.2e} exceeds the data scale")
 
 
 def prony_evaluate(fit: PronyFit, x, order=0):
@@ -267,10 +250,3 @@ def prony_evaluate(fit: PronyFit, x, order=0):
     e = np.exp(np.outer(fit.phi, np.atleast_1d(x) - fit.x0))
     vals = ((fit.c * fit.phi ** order) @ e).real
     return float(vals[0]) if np.ndim(x) == 0 else vals
-
-
-def prony_derivative(fit: PronyFit, x):
-    """First derivative of the fitted exponential sum at x."""
-    if fit.M == 0:
-        return 0.0 if np.ndim(x) == 0 else np.zeros(np.shape(x))
-    return prony_evaluate(fit, x, order=1)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gfs.baselines import IllConditioned, eckhoff_derivative, fft_derivative, prony_derivative, prony_fit, roache_derivative
+from gfs.baselines import IllConditioned, eckhoff_derivative, fft_derivative, prony_evaluate, prony_fit, roache_derivative
 from gfs.core import gfs_decompose, gfs_derivative
 from gfs.functions import get_function
 from gfs.grid import lp_error_norm, make_grid, sample
@@ -30,10 +30,8 @@ class ExperimentConfig:
     N_list: tuple = (64,)
     n_modes: int = 2
     q: int = 8
-    prony_M: str = "N/2"  # "N/2", "Nk", or an integer literal
+    prony_M: str = "N/2"  # "N/2" or an integer literal >= 1
     jump_source: str = "analytic"  # "analytic" or "fd:<r>"
-    a: float = -PI
-    b: float = PI
 
     def __post_init__(self):
         for m in self.methods:
@@ -43,6 +41,9 @@ class ExperimentConfig:
         if self.jump_source != "analytic" and not (head == "fd" and r.isdecimal() and int(r) >= 1):
             raise ValueError(f"jump_source must be 'analytic' or 'fd:<r>' with an integer r >= 1, "
                              f"got {self.jump_source!r}")
+        rule = str(self.prony_M)
+        if rule != "N/2" and not (rule.isdecimal() and int(rule) >= 1):
+            raise ValueError(f"prony_M must be 'N/2' or an integer >= 1, got {self.prony_M!r}")
 
     @property
     def fd_jump_order(self):
@@ -102,11 +103,7 @@ def _method_param(cfg, method, N):
 
 def resolve_prony_M(cfg, N):
     rule = str(cfg.prony_M)
-    if rule == "N/2":
-        return N // 2
-    if rule == "Nk":
-        return int(cfg.params.get("n_modes", 30))
-    return int(rule)
+    return N // 2 if rule == "N/2" else int(rule)
 
 
 @functools.cache
@@ -143,7 +140,7 @@ def _run_single(cfg, method, u, exact, analytic):
         approx = eckhoff_derivative(u, _leading(analytic, cfg.q)).values
     elif method == "prony":
         fit = prony_fit(u, resolve_prony_M(cfg, grid.N))
-        approx = prony_derivative(fit, grid.nodes())
+        approx = prony_evaluate(fit, grid.nodes(), 1)
     else:  # pragma: no cover - guarded in config
         raise ValueError(method)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -169,7 +166,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     f = get_function(cfg.function, **cfg.params)
     signals = {}
     for N in set(cfg.N_list):
-        grid = make_grid(cfg.a, cfg.b, N)
+        grid = make_grid(-PI, PI, N)
         signals[N] = (sample(f, grid),
                       np.array([f.derivative(x, 1) for x in grid.nodes()]))
     analytic = _analytic_jumps(cfg, f)
@@ -254,7 +251,6 @@ def convergence_sweep(cfg: ExperimentConfig):
 
 @dataclass(frozen=True)
 class LeakageReport:
-    N: int
     recovered_sine_modes: tuple  # (wavenumber, amplitude) pairs
     raw_spectrum: np.ndarray  # |DFT| of the raw samples, bins 0..N/2
     periodic_spectrum: np.ndarray  # |DFT| of the periodic remainder
@@ -281,7 +277,6 @@ def leakage_demo(N, **params):
     modes = tuple(sorted(((k, a) for k, a in dec.aperiodic.sine_modes),
                          key=lambda ka: abs(ka[0])))
     return LeakageReport(
-        N=N,
         recovered_sine_modes=modes,
         raw_spectrum=half_spectrum(u.values),
         periodic_spectrum=half_spectrum(dec.periodic),

@@ -53,7 +53,7 @@ def _build_parser():
     p.add_argument("--q", type=int, default=8,
                    help="jump count for roache/eckhoff")
     p.add_argument("--prony-M", default="N/2",
-                   help="Prony exponential count: integer, N/2, or Nk")
+                   help="Prony exponential count: N/2 or an integer >= 1")
     p.add_argument("--jumps", default="analytic",
                    help="jump source for gfs: analytic or fd:<r>")
     p.add_argument("--out", help="CSV output path (default: stdout)")
@@ -74,13 +74,6 @@ def _config_from_args(args):
         prony_M=args.prony_M,
         jump_source=args.jumps,
     )
-
-
-def _emit(report, out):
-    if out:
-        emit_csv(report, out)
-    else:
-        emit_csv(report, "/dev/stdout")
 
 
 def _run_leakage(args):
@@ -115,11 +108,11 @@ def main(argv=None):
         cfg = _config_from_args(args)
         if args.sweep:
             report, slopes = convergence_sweep(cfg)
-            _emit(report, args.out)
+            emit_csv(report, args.out or "/dev/stdout")
             for method in sorted(slopes):
                 sys.stderr.write(f"slope {method}: {slopes[method]:.3f}\n")
         else:
-            _emit(run_experiment(cfg), args.out)
+            emit_csv(run_experiment(cfg), args.out or "/dev/stdout")
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

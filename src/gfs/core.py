@@ -63,14 +63,6 @@ class AperiodicModel:
     cosine_modes: tuple = ()
 
     @property
-    def n_s(self):
-        return len(self.sine_modes)
-
-    @property
-    def n_c(self):
-        return len(self.cosine_modes)
-
-    @property
     def empty(self):
         return not self.sine_modes and not self.cosine_modes
 
@@ -236,6 +228,8 @@ def build_aperiodic_model(jumps: JumpData, n):
     rank-deficient; the worst case is an empty (pure-periodic) model.
     """
     n = int(n)
+    if n < 1:
+        raise ValueError(f"mode count n must be >= 1, got {n}")
     if jumps.q < 4 * n:
         raise ValueError(f"need q = 4n = {4 * n} jumps, have {jumps.q}")
     sine = _build_family(jumps, "even", n)
@@ -366,7 +360,6 @@ class GFSDecomposition:
     grid: GridSpec
     periodic: np.ndarray
     aperiodic: AperiodicModel
-    jumps: JumpData
 
 
 def gfs_decompose(u: SampledSignal, n, jumps: JumpData):
@@ -374,8 +367,7 @@ def gfs_decompose(u: SampledSignal, n, jumps: JumpData):
     model = build_aperiodic_model(to_standard_jumps(jumps, u.grid), n)
     xs = to_standard_interval(u.grid.nodes(), u.grid)
     periodic = u.values - evaluate_aperiodic(model, xs)
-    return GFSDecomposition(grid=u.grid, periodic=periodic,
-                            aperiodic=model, jumps=jumps)
+    return GFSDecomposition(grid=u.grid, periodic=periodic, aperiodic=model)
 
 
 def gfs_derivative(dec: GFSDecomposition, order=1):
@@ -394,8 +386,3 @@ def gfs_derivative(dec: GFSDecomposition, order=1):
     da = evaluate_aperiodic(dec.aperiodic, xs, order)
     factor = standard_chain_factor(grid) ** order
     return SampledSignal(grid, (dp + da) * factor)
-
-
-def gfs_differentiate(u: SampledSignal, n, jumps: JumpData, order=1):
-    """Convenience wrapper: decompose and differentiate in one call."""
-    return gfs_derivative(gfs_decompose(u, n, jumps), order)

@@ -118,14 +118,17 @@ def multimode_wavenumbers(n_modes):
 
 def multimode(n_modes=30):
     """Sum of sin(k_j x) + cos(k_j x) over non-integer wavenumbers k_j."""
-    ks = multimode_wavenumbers(int(n_modes))
+    n_modes = int(n_modes)
+    if n_modes < 2:
+        raise ValueError(f"multimode needs n_modes >= 2, got {n_modes}")
+    ks = multimode_wavenumbers(n_modes)
 
     def deriv(x, order):
         return float(np.sum(_sin_shifted(ks, x, order) + _cos_shifted(ks, x, order)))
 
     return TestFunction(
         name="multimode",
-        params={"n_modes": int(n_modes)},
+        params={"n_modes": n_modes},
         value=lambda x: float(np.sum(np.sin(ks * x) + np.cos(ks * x))),
         derivative=deriv,
     )
@@ -134,6 +137,8 @@ def multimode(n_modes=30):
 def monomial(m=1):
     """u = x^m."""
     m = int(m)
+    if m < 0:
+        raise ValueError(f"monomial needs m >= 0, got {m}")
 
     def deriv(x, order):
         if order > m:

@@ -25,6 +25,8 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"require finite a and b, got [{self.a}, {self.b}]")
         if self.b <= self.a:
             raise ValueError("require b > a")
         if self.N < 8:

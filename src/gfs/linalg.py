@@ -48,8 +48,6 @@ def solve_least_squares(A, b):
         return np.zeros(A.shape[1], dtype=complex), 0
     keep = s >= max(A.shape) * RANK_TOL_FACTOR * s[0]
     rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        return np.zeros(A.shape[1], dtype=complex), 0
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]
     x = Vh.conj().T @ (inv_s * (U.conj().T @ b))
@@ -113,12 +111,12 @@ def solve_transposed_vandermonde(nodes, rhs):
         return x
 
 
-def count_distinct(values, tol=DUPLICATE_NODE_TOL):
-    """Number of values that remain after merging near-duplicates."""
+def count_distinct(values):
+    """Number of values left after merging those within DUPLICATE_NODE_TOL (relative)."""
     values = np.asarray(values, dtype=complex).ravel()
     kept = []
     for v in values:
-        if all(abs(v - u) / max(1.0, abs(v)) >= tol for u in kept):
+        if all(abs(v - u) / max(1.0, abs(v)) >= DUPLICATE_NODE_TOL for u in kept):
             kept.append(v)
     return len(kept)
 

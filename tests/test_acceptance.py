@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gfs.baselines import IllConditioned, fft_derivative, prony_fit
-from gfs.core import gfs_differentiate
+from gfs.core import gfs_decompose, gfs_derivative
 from gfs.functions import get_function
 from gfs.grid import make_grid, sample
 from gfs.jumps import estimate_jumps, fd_differentiate, jumps_from_analytic
@@ -29,7 +29,7 @@ def gfs_error(name, n, N, params=None, jump="analytic", r=6):
         jumps = jumps_from_analytic(f, 4 * n)
     else:
         jumps = estimate_jumps(u, 4 * n, r)
-    d = gfs_differentiate(u, n, jumps)
+    d = gfs_derivative(gfs_decompose(u, n, jumps))
     exact = np.array([f.derivative(x, 1) for x in g.nodes()])
     return float(np.max(np.abs(d.values - exact)))
 
@@ -175,7 +175,7 @@ class TestCriterion8Properties:
             f = get_function("trig_poly", seed=seed)
             g = make_grid(-PI, PI, 64)
             u = sample(f, g)
-            d_gfs = gfs_differentiate(u, 2, jumps_from_analytic(f, 8))
+            d_gfs = gfs_derivative(gfs_decompose(u, 2, jumps_from_analytic(f, 8)))
             d_fft = fft_derivative(u)
             np.testing.assert_allclose(d_gfs.values, d_fft.values, atol=1e-12)
 

@@ -1,9 +1,11 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+import gfs.bench
 from gfs.bench import (
     ExperimentConfig,
     ExperimentReport,
@@ -12,6 +14,7 @@ from gfs.bench import (
     emit_csv,
     leakage_demo,
     loglog_slope,
+    resolve_prony_M,
     run_experiment,
 )
 from gfs.cli import main as cli_main
@@ -67,6 +70,11 @@ class TestRunExperiment:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(function="gaussian", methods=("magic",))
+
+    @pytest.mark.parametrize("rule, M", [("N/2", 16), ("8", 8), (8, 8)])
+    def test_prony_M_forms(self, rule, M):
+        cfg = ExperimentConfig(function="gaussian", methods=("prony",), prony_M=rule)
+        assert resolve_prony_M(cfg, 32) == M
 
 
 class TestEmitCsv:
@@ -279,6 +287,28 @@ class TestCli:
                        "--n-modes", "2", "--jumps", source])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: jump_source must be")
+
+    @pytest.mark.parametrize("function, param", [
+        ("multimode", "n_modes=1"), ("multimode", "n_modes=0"), ("monomial", "m=-1")])
+    def test_unevaluable_catalog_param(self, function, param, capsys):
+        # rejected by the catalog factory, before any closed form is evaluated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli_main(["--function", function, "--param", param,
+                           "--method", "gfs", "--N", "64"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {function} needs")
+
+    @pytest.mark.parametrize("rule", ["Nk", "0", "-1", "x"])
+    def test_bad_prony_M(self, rule, capsys, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the config was checked")
+        monkeypatch.setattr(gfs.bench, "sample", no_sampling)
+        rc = cli_main(["--function", "gaussian", "--method", "prony", "--N", "64",
+                       "--prony-M", rule])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: prony_M must be 'N/2' or an integer >= 1")
 
     def test_unwritable_output_is_io_error(self):
         rc = cli_main(["--function", "gaussian", "--method", "gfs",

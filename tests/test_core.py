@@ -17,7 +17,6 @@ from gfs.core import (
     evaluate_aperiodic,
     gfs_decompose,
     gfs_derivative,
-    gfs_differentiate,
     model_jump,
     modes_from_symmetric,
     solve_elementary_symmetric,
@@ -540,13 +539,20 @@ class TestDecompose:
         ua = evaluate_aperiodic(dec.aperiodic, xs)
         np.testing.assert_allclose(ua.real, g.nodes(), atol=1e-8)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_mode_count_below_one(self, n):
+        f = get_function("gaussian")
+        u = sample(f, make_grid(-PI, PI, 64))
+        with pytest.raises(ValueError, match="mode count n must be >= 1"):
+            gfs_decompose(u, n, jumps_from_analytic(f, 8))
+
 
 class TestDerivative:
     def test_pure_harmonic(self):
         g = make_grid(-PI, PI, 64)
         u = sample(lambda x: math.sin(3 * x), g)
         jumps = JumpData(J=np.full(8, 1e-15), source="analytic")
-        d = gfs_differentiate(u, 2, jumps)
+        d = gfs_derivative(gfs_decompose(u, 2, jumps))
         np.testing.assert_allclose(d.values, 3 * np.cos(3 * g.nodes()),
                                    atol=1e-11)
 
@@ -554,7 +560,7 @@ class TestDerivative:
         f = get_function("gaussian")
         g = make_grid(-PI, PI, 64)
         u = sample(f, g)
-        d = gfs_differentiate(u, 3, jumps_from_analytic(f, 12))
+        d = gfs_derivative(gfs_decompose(u, 3, jumps_from_analytic(f, 12)))
         exact = np.array([f.derivative(x, 1) for x in g.nodes()])
         assert np.max(np.abs(d.values - exact)) <= 1e-12
 
@@ -562,7 +568,7 @@ class TestDerivative:
         f = get_function("multimode", n_modes=30)
         g = make_grid(-PI, PI, 128)
         u = sample(f, g)
-        d = gfs_differentiate(u, 4, jumps_from_analytic(f, 16))
+        d = gfs_derivative(gfs_decompose(u, 4, jumps_from_analytic(f, 16)))
         exact = np.array([f.derivative(x, 1) for x in g.nodes()])
         assert np.max(np.abs(d.values - exact)) <= 1e-10
 
@@ -573,7 +579,7 @@ class TestDerivative:
         u = sample(f, g)
         from gfs.jumps import estimate_jumps
         jumps = estimate_jumps(u, 8, 6)
-        d = gfs_differentiate(u, 2, jumps)
+        d = gfs_derivative(gfs_decompose(u, 2, jumps))
         exact = np.array([-2 * (x - 0.6) / 0.3 ** 2 * f(x) for x in g.nodes()])
         assert np.max(np.abs(d.values - exact)) <= 1e-3
 
@@ -584,6 +590,6 @@ class TestDerivative:
         f = get_function("trig_poly", seed=seed)
         g = make_grid(-PI, PI, 64)
         u = sample(f, g)
-        d_gfs = gfs_differentiate(u, 2, jumps_from_analytic(f, 8))
+        d_gfs = gfs_derivative(gfs_decompose(u, 2, jumps_from_analytic(f, 8)))
         d_fft = fft_derivative(u)
         np.testing.assert_allclose(d_gfs.values, d_fft.values, atol=1e-12)

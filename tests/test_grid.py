@@ -41,6 +41,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             make_grid(PI, -PI, 64)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan),
+                                      (0.0, math.inf), (-math.inf, 0.0)])
+    def test_rejects_non_finite_endpoints(self, a, b):
+        with pytest.raises(ValueError, match="require finite a and b"):
+            make_grid(a, b, 64)
+
 
 class TestStandardInterval:
     def test_endpoints_and_midpoint(self):
