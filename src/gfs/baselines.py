@@ -18,7 +18,7 @@ from math import comb, factorial
 import numpy as np
 
 from gfs.grid import SampledSignal, standard_chain_factor, to_standard_interval
-from gfs.jumps import JumpData, to_standard_jumps
+from gfs.jumps import GridTooSmall, JumpData, to_standard_jumps
 from gfs.linalg import polynomial_roots, solve_least_squares, vandermonde_matrix
 from gfs.spectral import spectral_derivative_periodic
 
@@ -198,7 +198,7 @@ def prony_fit(u: SampledSignal, M):
         raise ValueError("M must be >= 1")
     h = u.values
     if h.size < 2 * M:
-        raise ValueError(f"need {2 * M} samples, have {h.size}")
+        raise GridTooSmall(f"need {2 * M} samples, have {h.size}")
     h = h[:2 * M]
     dx = u.grid.dx
 

@@ -41,6 +41,9 @@ class ExperimentConfig:
         if self.jump_source != "analytic" and not (head == "fd" and r.isdecimal() and int(r) >= 1):
             raise ValueError(f"jump_source must be 'analytic' or 'fd:<r>' with an integer r >= 1, "
                              f"got {self.jump_source!r}")
+        for name in ("n_modes", "q"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         rule = str(self.prony_M)
         if rule != "N/2" and not (rule.isdecimal() and int(rule) >= 1):
             raise ValueError(f"prony_M must be 'N/2' or an integer >= 1, got {self.prony_M!r}")

@@ -4,6 +4,17 @@ Each entry supplies value(x), derivative(x, m) for m up to DERIVATIVE_ORDER_MAX,
 and the endpoint jump J_m = u^(m)(pi) - u^(m)(-pi) in closed form. Closed
 forms matter: jump orders up to 4n-1 = 23 appear in the experiments and a
 symbolic or finite-difference fallback would dominate the error budget.
+
+``value`` takes a float and returns a Python float, or takes a float64
+array of nodes and returns a float64 array of the same shape whose every
+element has the bits of the scalar call at that node; ``grid.sample`` makes
+one such call per grid. Arithmetic and np.sin/np.cos give the scalar bits
+on arrays. exp, log and powers go node by node through the libm scalars
+(``_exp``, ``_log``, ``_pow``): numpy's array exp, log and power round
+differently in the last bit at some nodes, and a fit that cancels can turn
+on that bit. ``derivative`` stays scalar: it runs inside the timed jump
+computation (``jumps_from_analytic``), where a per-call array dispatch
+would cost time.
 """
 
 from __future__ import annotations
@@ -22,12 +33,39 @@ PI = math.pi
 DERIVATIVE_ORDER_MAX = 31
 
 
+# math.exp, math.log and math.pow applied node by node (object arrays out);
+# _nodewise turns the result back into float64.
+_exp = np.frompyfunc(math.exp, 1, 1)
+_log = np.frompyfunc(math.log, 1, 1)
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+# Nodes per formula call: keeps the (nodes, modes) temporaries and the
+# object arrays near 100 kB whatever the grid size.
+NODE_BLOCK = 4096
+
+
+def _nodewise(formula):
+    """value(x) from an array formula: a Python float for a scalar x, else float64."""
+
+    def value(x):
+        if np.ndim(x) == 0:
+            return float(formula(x))
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+        for i in range(0, flat_x.size, NODE_BLOCK):
+            flat_out[i:i + NODE_BLOCK] = formula(flat_x[i:i + NODE_BLOCK])
+        return out
+
+    return value
+
+
 @dataclass(frozen=True)
 class TestFunction:
     name: str
     params: dict
-    value: Callable[[float], float]
-    derivative: Callable[[float, int], float]
+    value: Callable[[float | np.ndarray], float | np.ndarray]  # per-node bits
+    derivative: Callable[[float, int], float]  # scalar only
 
     def analytic_jump(self, order):
         """J_m = u^(m)(pi) - u^(m)(-pi)."""
@@ -53,7 +91,7 @@ def modulated_sine(a=-1.0 / PI, b=0.75):
     return TestFunction(
         name="modulated_sine",
         params={"a": a, "b": b},
-        value=lambda x: math.exp(a * (x + PI)) * math.sin(b * (x + PI)),
+        value=_nodewise(lambda x: _exp(a * (x + PI)) * np.sin(b * (x + PI))),
         derivative=deriv,
     )
 
@@ -89,7 +127,7 @@ def gaussian(x0=3.0 * PI / 4.0, w=1.0):
     return TestFunction(
         name="gaussian",
         params={"x0": x0, "w": w},
-        value=lambda x: math.exp(-(((x - x0) / w) ** 2)),
+        value=_nodewise(lambda x: _exp(-_pow((x - x0) / w, 2))),
         derivative=deriv,
     )
 
@@ -105,7 +143,7 @@ def log_fn():
     return TestFunction(
         name="log_fn",
         params={},
-        value=lambda x: math.log(x + PI + 0.5),
+        value=_nodewise(lambda x: _log(x + PI + 0.5)),
         derivative=deriv,
     )
 
@@ -126,10 +164,15 @@ def multimode(n_modes=30):
     def deriv(x, order):
         return float(np.sum(_sin_shifted(ks, x, order) + _cos_shifted(ks, x, order)))
 
+    def value(x):
+        # One row of k_j x per node, summed along the row as np.sum sums ks * x.
+        kx = np.multiply.outer(x, ks)
+        return np.sum(np.sin(kx) + np.cos(kx), axis=-1)
+
     return TestFunction(
         name="multimode",
         params={"n_modes": n_modes},
-        value=lambda x: float(np.sum(np.sin(ks * x) + np.cos(ks * x))),
+        value=_nodewise(value),
         derivative=deriv,
     )
 
@@ -148,7 +191,7 @@ def monomial(m=1):
     return TestFunction(
         name="monomial",
         params={"m": m},
-        value=lambda x: float(x) ** m,
+        value=_nodewise(lambda x: _pow(x, m)),
         derivative=deriv,
     )
 
@@ -162,7 +205,7 @@ def leakage_demo(k1=5.3, k2=12.4, a1=0.7, a2=1.0):
     return TestFunction(
         name="leakage_demo",
         params={"k1": k1, "k2": k2, "a1": a1, "a2": a2},
-        value=lambda x: a1 * math.sin(k1 * x) + a2 * math.sin(k2 * x),
+        value=_nodewise(lambda x: a1 * np.sin(k1 * x) + a2 * np.sin(k2 * x)),
         derivative=deriv,
     )
 
@@ -175,6 +218,10 @@ def trig_poly(seed=0, max_mode=5):
     b = rng.uniform(-1.0, 1.0, modes.size)
     c0 = float(rng.uniform(-1.0, 1.0))
 
+    def value(x):
+        mx = np.multiply.outer(x, modes)
+        return c0 + np.sum(a * np.sin(mx) + b * np.cos(mx), axis=-1)
+
     def deriv(x, order):
         if order == 0:
             return c0 + float(np.sum(a * np.sin(modes * x) + b * np.cos(modes * x)))
@@ -184,7 +231,7 @@ def trig_poly(seed=0, max_mode=5):
     return TestFunction(
         name="trig_poly",
         params={"seed": int(seed), "max_mode": int(max_mode)},
-        value=lambda x: deriv(x, 0),
+        value=_nodewise(value),
         derivative=deriv,
     )
 

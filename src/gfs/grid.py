@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gfs.functions import TestFunction
+
 
 class BadSample(ValueError):
     """A test function produced a non-finite value at some grid node."""
@@ -80,9 +82,15 @@ def standard_chain_factor(grid):
 
 
 def sample(f, grid):
-    """Sample a catalog function or plain callable at all N+1 grid nodes."""
-    fn = f.value if hasattr(f, "value") else f
-    values = np.asarray([fn(x) for x in grid.nodes()], dtype=float)
+    """Sample a catalog function or plain callable at all N+1 grid nodes.
+
+    A catalog function takes all nodes in one array call; a plain callable
+    is called once per node.
+    """
+    if isinstance(f, TestFunction):
+        values = f.value(grid.nodes())
+    else:
+        values = np.asarray([f(x) for x in grid.nodes()], dtype=float)
     return SampledSignal(grid, values)
 
 

@@ -310,6 +310,32 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "error: prony_M must be 'N/2' or an integer >= 1")
 
+    @pytest.mark.parametrize("flag, name", [("--n-modes", "n_modes"), ("--q", "q")])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_config_error(self, flag, name, count, capsys, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the config was checked")
+        monkeypatch.setattr(gfs.bench, "sample", no_sampling)
+        rc = cli_main(["--function", "gaussian", "--method", "gfs", "--method", "roache",
+                       "--N", "64", flag, count])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {name} must be >= 1, got {count}\n"
+
+    def test_prony_M_above_half_N_is_one_inf_row(self, tmp_path):
+        # M = 20 needs 40 samples: N=32 has 33, so that row alone is too small
+        # (N=64 fits, and is ill-conditioned on smooth data); gfs is unaffected
+        argv = ["--function", "gaussian", "--method", "prony", "--method", "gfs",
+                "--N", "32", "--N", "64", "--prony-M", "20"]
+        out = tmp_path / "prony.csv"
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        rows = {(r[0], r[2]): r[5:7] for r in read_rows(out)}
+        assert sorted(rows) == [("gfs", "32"), ("gfs", "64"), ("prony", "32"), ("prony", "64")]
+        assert rows[("prony", "32")] == ["inf", "inf"]
+        assert all(math.isfinite(float(e)) for e in rows[("gfs", "32")] + rows[("gfs", "64")])
+        report = run_experiment(ExperimentConfig(
+            function="gaussian", methods=("prony",), N_list=(32, 64), prony_M="20"))
+        assert [r.note for r in report.rows] == ["GridTooSmall", "IllConditioned"]
+
     def test_unwritable_output_is_io_error(self):
         rc = cli_main(["--function", "gaussian", "--method", "gfs",
                        "--N", "64", "--n-modes", "3",

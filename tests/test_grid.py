@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfs.functions import FUNCTION_CATALOG, NODE_BLOCK, get_function, multimode_wavenumbers
+from gfs.functions import TestFunction as CatalogFunction
 from gfs.grid import (
+    BadSample,
     GridSpec,
     SampledSignal,
     lp_error_norm,
@@ -81,6 +84,103 @@ class TestSampledSignal:
         vals[3] = np.nan
         with pytest.raises(ValueError):
             SampledSignal(g, vals)
+
+
+# Parameters in the ranges the benchmark draws from.
+CATALOG_PARAMS = {
+    "gaussian": st.fixed_dictionaries({"x0": st.floats(0.7 * PI, 0.8 * PI),
+                                       "w": st.floats(0.9, 1.1)}),
+    "modulated_sine": st.fixed_dictionaries({"a": st.floats(-0.4, -0.25),
+                                             "b": st.floats(0.6, 0.9)}),
+    "log_fn": st.just({}),
+    "multimode": st.fixed_dictionaries({"n_modes": st.integers(2, 4)}),
+    "monomial": st.just({"m": 3}),
+    "leakage_demo": st.fixed_dictionaries({"k1": st.floats(5.1, 5.5), "k2": st.floats(12.2, 12.6),
+                                           "a1": st.floats(0.6, 0.8), "a2": st.floats(0.9, 1.1)}),
+    "trig_poly": st.fixed_dictionaries({"seed": st.integers(0, 2 ** 31 - 1),
+                                        "max_mode": st.integers(3, 5)}),
+}
+
+
+def scalar_value(f):
+    """The catalog's value as it was when sample called it once per node."""
+    p = f.params
+    if f.name == "modulated_sine":
+        return lambda x: math.exp(p["a"] * (x + PI)) * math.sin(p["b"] * (x + PI))
+    if f.name == "gaussian":
+        return lambda x: math.exp(-(((x - p["x0"]) / p["w"]) ** 2))
+    if f.name == "log_fn":
+        return lambda x: math.log(x + PI + 0.5)
+    if f.name == "multimode":
+        ks = multimode_wavenumbers(p["n_modes"])
+        return lambda x: float(np.sum(np.sin(ks * x) + np.cos(ks * x)))
+    if f.name == "monomial":
+        return lambda x: float(x) ** p["m"]
+    if f.name == "leakage_demo":
+        return lambda x: p["a1"] * math.sin(p["k1"] * x) + p["a2"] * math.sin(p["k2"] * x)
+    return lambda x: f.derivative(x, 0)  # trig_poly
+
+
+class TestSampleCatalog:
+    def test_every_catalog_function_is_covered(self):
+        assert set(CATALOG_PARAMS) == set(FUNCTION_CATALOG)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+    @given(data=st.data(), centre=st.floats(-0.4, 0.4), length=st.floats(4.5, 2 * PI),
+           N=st.integers(8, 2048))
+    @settings(max_examples=30, deadline=None)
+    def test_one_array_call_keeps_every_nodes_bits(self, name, data, centre, length, N):
+        f = get_function(name, **data.draw(CATALOG_PARAMS[name]))
+        grid = make_grid(centre - 0.5 * length, centre + 0.5 * length, N)
+        nodes = grid.nodes()
+        got = sample(f, grid).values.tobytes()
+        assert got == np.array([f.value(x) for x in nodes]).tobytes()
+        assert got == np.array([scalar_value(f)(x) for x in nodes]).tobytes()
+        for x in (nodes[0], float(nodes[N // 2]), nodes[-1]):
+            assert type(f.value(x)) is float
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+    def test_blocks_of_a_large_grid_keep_every_nodes_bits(self, name):
+        # three formula calls, the last one short; any array shape is kept.
+        # Default parameters: multimode sums 30 modes per node.
+        f = get_function(name, **({"m": 3} if name == "monomial" else {}))
+        nodes = make_grid(-3.0, 3.2, 2 * NODE_BLOCK + 7).nodes()
+        values = f.value(nodes)
+        assert values.tobytes() == np.array([scalar_value(f)(x) for x in nodes]).tobytes()
+        square = f.value(nodes.reshape(2, -1))
+        assert square.shape == (2, nodes.size // 2)
+        assert square.tobytes() == values.tobytes()
+
+    def test_catalog_function_is_sampled_in_one_call(self):
+        calls = []
+
+        def value(x):
+            calls.append(x)
+            return np.zeros_like(x)
+
+        grid = make_grid(-PI, PI, 16)
+        u = sample(CatalogFunction("zero", {}, value, lambda x, m: 0.0), grid)
+        assert len(calls) == 1 and calls[0].tobytes() == grid.nodes().tobytes()
+        assert u.values.tobytes() == np.zeros(17).tobytes()
+
+
+class TestSamplePlainCallable:
+    def test_constant_lambda_is_called_per_node(self):
+        u = sample(lambda x: 0.0, make_grid(-PI, PI, 16))
+        assert u.values.tobytes() == np.zeros(17).tobytes()
+
+    def test_math_sin_is_called_per_node(self):
+        grid = make_grid(-1.0, 2.0, 33)
+        expected = np.array([math.sin(x) for x in grid.nodes()])
+        assert sample(math.sin, grid).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [0, 5, 16])
+    def test_non_finite_value_names_its_node(self, bad):
+        grid = make_grid(-PI, PI, 16)
+        x_bad = grid.nodes()[bad]
+        with pytest.raises(BadSample, match=f"node {bad}") as exc:
+            sample(lambda x: math.nan if x == x_bad else x, grid)
+        assert exc.value.node_index == bad
 
 
 class TestNorms:
