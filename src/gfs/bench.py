@@ -9,11 +9,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gfs.baselines import IllConditioned, eckhoff_derivative, fft_derivative, prony_evaluate, prony_fit, roache_derivative
+from gfs.baselines import eckhoff_derivative, fft_derivative, prony_evaluate, prony_fit, roache_derivative
 from gfs.core import gfs_decompose, gfs_derivative
 from gfs.functions import get_function
 from gfs.grid import lp_error_norm, make_grid, sample
 from gfs.jumps import GridTooSmall, JumpData, estimate_jumps, fd_differentiate, jump_stencils, jumps_from_analytic
+from gfs.linalg import DegenerateNodes
 
 PI = math.pi
 
@@ -162,16 +163,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     All of it happens before any method's timed window, so ``wall_ms``
     covers the method's own work (FD jump estimation included).
 
-    Method-level numerical failures (Prony ill-conditioning, grids too
-    small for the requested stencils) become rows with infinite error and
-    a reason tag rather than aborting the run.
+    Method-level numerical failures (an ArithmeticError such as Prony
+    ill-conditioning, a fit's realness violation or a root residual;
+    degenerate mode nodes; grids too small for the requested stencils)
+    become rows with infinite error and the exception's class name as
+    their note rather than aborting the run.
     """
     f = get_function(cfg.function, **cfg.params)
     signals = {}
     for N in set(cfg.N_list):
         grid = make_grid(-PI, PI, N)
-        signals[N] = (sample(f, grid),
-                      np.array([f.derivative(x, 1) for x in grid.nodes()]))
+        signals[N] = (sample(f, grid), f.derivative(grid.nodes(), 1))
     analytic = _analytic_jumps(cfg, f)
     if "gfs" in cfg.methods and cfg.fd_jump_order is not None:
         # Build the stencil tables estimate_jumps reads (exact, then float)
@@ -186,7 +188,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             try:
                 e_inf, e_2, wall_ms = _run_single(cfg, method, *signals[N], analytic)
                 note = ""
-            except (IllConditioned, GridTooSmall) as exc:
+            except (ArithmeticError, DegenerateNodes, GridTooSmall) as exc:
                 e_inf = e_2 = math.inf
                 wall_ms = 0.0
                 note = type(exc).__name__

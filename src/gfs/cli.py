@@ -19,15 +19,16 @@ from gfs.bench import ExperimentConfig, convergence_sweep, emit_csv, leakage_dem
 
 
 def _parse_param(text):
-    if "=" not in text:
-        raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
-    key, raw = text.split("=", 1)
+    """key=value with a numeric value: an int where it parses as one, else a float."""
+    key, sep, raw = text.partition("=")
+    if not sep:
+        raise ValueError(f"--param expects key=value, got {text!r}")
     for cast in (int, float):
         try:
             return key, cast(raw)
         except ValueError:
             continue
-    return key, raw
+    raise ValueError(f"--param {key} must be a number, got {raw!r}")
 
 
 def _build_parser():

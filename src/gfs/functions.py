@@ -1,20 +1,21 @@
 """Catalog of benchmark functions on [-pi, pi] with exact high-order derivatives.
 
-Each entry supplies value(x), derivative(x, m) for m up to DERIVATIVE_ORDER_MAX,
-and the endpoint jump J_m = u^(m)(pi) - u^(m)(-pi) in closed form. Closed
-forms matter: jump orders up to 4n-1 = 23 appear in the experiments and a
-symbolic or finite-difference fallback would dominate the error budget.
+Each entry supplies one closed form, derivative(x, m) for m up to
+DERIVATIVE_ORDER_MAX; value(x) is derivative(x, 0) and the endpoint jump
+J_m = u^(m)(pi) - u^(m)(-pi) is taken from it. Closed forms matter: jump
+orders up to 4n-1 = 23 appear in the experiments and a symbolic or
+finite-difference fallback would dominate the error budget.
 
-``value`` takes a float and returns a Python float, or takes a float64
-array of nodes and returns a float64 array of the same shape whose every
-element has the bits of the scalar call at that node; ``grid.sample`` makes
-one such call per grid. Arithmetic and np.sin/np.cos give the scalar bits
-on arrays. exp, log and powers go node by node through the libm scalars
-(``_exp``, ``_log``, ``_pow``): numpy's array exp, log and power round
-differently in the last bit at some nodes, and a fit that cancels can turn
-on that bit. ``derivative`` stays scalar: it runs inside the timed jump
-computation (``jumps_from_analytic``), where a per-call array dispatch
-would cost time.
+``derivative`` takes a float and returns a Python float, or takes a float64
+array of nodes and returns float64 of the same shape; ``grid.sample`` makes
+one such call per grid. Samples and scalar derivatives keep per-node bits:
+every sample, and every array derivative except modulated_sine's at m >= 1
+(a complex product, within an ulp), has the bits of the scalar call at its
+node, so J_0 is the difference of the end samples of a [-pi, pi] grid.
+Arithmetic and np.sin/np.cos give the scalar bits on arrays. exp, log and
+powers go node by node through the libm scalars on arrays (``_exp``,
+``_log``, ``_pow``): numpy's array exp, log and power round differently in
+the last bit at some nodes, and a fit that cancels can turn on that bit.
 """
 
 from __future__ import annotations
@@ -32,12 +33,24 @@ PI = math.pi
 # Highest derivative order the catalog guarantees exactly.
 DERIVATIVE_ORDER_MAX = 31
 
+_exp_nodes = np.frompyfunc(math.exp, 1, 1)
+_log_nodes = np.frompyfunc(math.log, 1, 1)
+_pow_nodes = np.frompyfunc(math.pow, 2, 1)
 
-# math.exp, math.log and math.pow applied node by node (object arrays out);
-# _nodewise turns the result back into float64.
-_exp = np.frompyfunc(math.exp, 1, 1)
-_log = np.frompyfunc(math.log, 1, 1)
-_pow = np.frompyfunc(math.pow, 2, 1)
+
+# math.exp, math.log and math.pow on a float; applied node by node on an
+# array (object array out, which _nodewise turns back into float64).
+def _exp(x):
+    return _exp_nodes(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def _log(x):
+    return _log_nodes(x) if isinstance(x, np.ndarray) else math.log(x)
+
+
+def _pow(x, y):
+    return _pow_nodes(x, y) if isinstance(x, np.ndarray) else math.pow(x, y)
+
 
 # Nodes per formula call: keeps the (nodes, modes) temporaries and the
 # object arrays near 100 kB whatever the grid size.
@@ -45,40 +58,43 @@ NODE_BLOCK = 4096
 
 
 def _nodewise(formula):
-    """value(x) from an array formula: a Python float for a scalar x, else float64."""
+    """derivative(x, order) from one closed form: a Python float for a scalar
+    x, else float64 of x's shape, computed in blocks of NODE_BLOCK nodes."""
 
-    def value(x):
-        if np.ndim(x) == 0:
-            return float(formula(x))
-        x = np.asarray(x, dtype=float)
+    def derivative(x, order):
+        if not isinstance(x, np.ndarray):
+            return float(formula(x, order))
         out = np.empty(x.shape)
         flat_x, flat_out = x.reshape(-1), out.reshape(-1)
         for i in range(0, flat_x.size, NODE_BLOCK):
-            flat_out[i:i + NODE_BLOCK] = formula(flat_x[i:i + NODE_BLOCK])
+            flat_out[i:i + NODE_BLOCK] = formula(flat_x[i:i + NODE_BLOCK], order)
         return out
 
-    return value
+    return derivative
 
 
 @dataclass(frozen=True)
 class TestFunction:
     name: str
     params: dict
-    value: Callable[[float | np.ndarray], float | np.ndarray]  # per-node bits
-    derivative: Callable[[float, int], float]  # scalar only
+    derivative: Callable[[float | np.ndarray, int], float | np.ndarray]
+
+    def value(self, x):
+        """u(x): derivative of order 0."""
+        return self.derivative(x, 0)
 
     def analytic_jump(self, order):
         """J_m = u^(m)(pi) - u^(m)(-pi)."""
         return self.derivative(PI, order) - self.derivative(-PI, order)
 
 
-def _sin_shifted(k, x, order):
-    """d^m/dx^m sin(k x) = k^m sin(k x + m pi/2), valid for complex k too."""
-    return k ** order * np.sin(k * x + order * PI / 2.0)
+def _sin_shifted(k, kx, order):
+    """d^m/dx^m sin(k x) = k^m sin(k x + m pi/2), given kx = k x."""
+    return k ** order * np.sin(kx + order * PI / 2.0)
 
 
-def _cos_shifted(k, x, order):
-    return k ** order * np.cos(k * x + order * PI / 2.0)
+def _cos_shifted(k, kx, order):
+    return k ** order * np.cos(kx + order * PI / 2.0)
 
 
 def modulated_sine(a=-1.0 / PI, b=0.75):
@@ -88,12 +104,8 @@ def modulated_sine(a=-1.0 / PI, b=0.75):
     def deriv(x, order):
         return (c ** order * np.exp(c * (x + PI))).imag
 
-    return TestFunction(
-        name="modulated_sine",
-        params={"a": a, "b": b},
-        value=_nodewise(lambda x: _exp(a * (x + PI)) * np.sin(b * (x + PI))),
-        derivative=deriv,
-    )
+    return TestFunction(name="modulated_sine", params={"a": a, "b": b},
+                        derivative=_nodewise(deriv))
 
 
 @functools.cache
@@ -120,16 +132,16 @@ def gaussian(x0=3.0 * PI / 4.0, w=1.0):
 
     def deriv(x, order):
         t = (x - x0) / w
-        h = _hermite_coeffs(order)
-        ht = sum(c * t ** i for i, c in enumerate(h))
-        return (-1.0 / w) ** order * ht * math.exp(-t * t)
+        if order == 0:
+            return _exp(-_pow(t, 2))
+        # On an array, Python's ** node by node (an object array): numpy's
+        # array power rounds differently, and the Hermite sum magnifies it.
+        ts = t.astype(object) if isinstance(t, np.ndarray) else t
+        ht = sum(c * ts ** i for i, c in enumerate(_hermite_coeffs(order)))
+        return (-1.0 / w) ** order * ht * _exp(-t * t)
 
-    return TestFunction(
-        name="gaussian",
-        params={"x0": x0, "w": w},
-        value=_nodewise(lambda x: _exp(-_pow((x - x0) / w, 2))),
-        derivative=deriv,
-    )
+    return TestFunction(name="gaussian", params={"x0": x0, "w": w},
+                        derivative=_nodewise(deriv))
 
 
 def log_fn():
@@ -137,15 +149,10 @@ def log_fn():
 
     def deriv(x, order):
         if order == 0:
-            return math.log(x + PI + 0.5)
-        return (-1.0) ** (order - 1) * math.factorial(order - 1) / (x + PI + 0.5) ** order
+            return _log(x + PI + 0.5)
+        return (-1.0) ** (order - 1) * math.factorial(order - 1) / _pow(x + PI + 0.5, order)
 
-    return TestFunction(
-        name="log_fn",
-        params={},
-        value=_nodewise(lambda x: _log(x + PI + 0.5)),
-        derivative=deriv,
-    )
+    return TestFunction(name="log_fn", params={}, derivative=_nodewise(deriv))
 
 
 def multimode_wavenumbers(n_modes):
@@ -162,19 +169,12 @@ def multimode(n_modes=30):
     ks = multimode_wavenumbers(n_modes)
 
     def deriv(x, order):
-        return float(np.sum(_sin_shifted(ks, x, order) + _cos_shifted(ks, x, order)))
-
-    def value(x):
         # One row of k_j x per node, summed along the row as np.sum sums ks * x.
         kx = np.multiply.outer(x, ks)
-        return np.sum(np.sin(kx) + np.cos(kx), axis=-1)
+        return np.sum(_sin_shifted(ks, kx, order) + _cos_shifted(ks, kx, order), axis=-1)
 
-    return TestFunction(
-        name="multimode",
-        params={"n_modes": n_modes},
-        value=_nodewise(value),
-        derivative=deriv,
-    )
+    return TestFunction(name="multimode", params={"n_modes": n_modes},
+                        derivative=_nodewise(deriv))
 
 
 def monomial(m=1):
@@ -186,28 +186,19 @@ def monomial(m=1):
     def deriv(x, order):
         if order > m:
             return 0.0
-        return math.factorial(m) / math.factorial(m - order) * x ** (m - order)
+        return math.factorial(m) / math.factorial(m - order) * _pow(x, m - order)
 
-    return TestFunction(
-        name="monomial",
-        params={"m": m},
-        value=_nodewise(lambda x: _pow(x, m)),
-        derivative=deriv,
-    )
+    return TestFunction(name="monomial", params={"m": m}, derivative=_nodewise(deriv))
 
 
 def leakage_demo(k1=5.3, k2=12.4, a1=0.7, a2=1.0):
     """u = a1 sin(k1 x) + a2 sin(k2 x) with non-integer wavenumbers."""
 
     def deriv(x, order):
-        return float(a1 * _sin_shifted(k1, x, order) + a2 * _sin_shifted(k2, x, order))
+        return a1 * _sin_shifted(k1, k1 * x, order) + a2 * _sin_shifted(k2, k2 * x, order)
 
-    return TestFunction(
-        name="leakage_demo",
-        params={"k1": k1, "k2": k2, "a1": a1, "a2": a2},
-        value=_nodewise(lambda x: a1 * np.sin(k1 * x) + a2 * np.sin(k2 * x)),
-        derivative=deriv,
-    )
+    return TestFunction(name="leakage_demo", params={"k1": k1, "k2": k2, "a1": a1, "a2": a2},
+                        derivative=_nodewise(deriv))
 
 
 def trig_poly(seed=0, max_mode=5):
@@ -218,22 +209,15 @@ def trig_poly(seed=0, max_mode=5):
     b = rng.uniform(-1.0, 1.0, modes.size)
     c0 = float(rng.uniform(-1.0, 1.0))
 
-    def value(x):
-        mx = np.multiply.outer(x, modes)
-        return c0 + np.sum(a * np.sin(mx) + b * np.cos(mx), axis=-1)
-
     def deriv(x, order):
+        mx = np.multiply.outer(x, modes)
         if order == 0:
-            return c0 + float(np.sum(a * np.sin(modes * x) + b * np.cos(modes * x)))
-        return float(np.sum(a * _sin_shifted(modes, x, order)
-                            + b * _cos_shifted(modes, x, order)))
+            return c0 + np.sum(a * np.sin(mx) + b * np.cos(mx), axis=-1)
+        return np.sum(a * _sin_shifted(modes, mx, order) + b * _cos_shifted(modes, mx, order),
+                      axis=-1)
 
-    return TestFunction(
-        name="trig_poly",
-        params={"seed": int(seed), "max_mode": int(max_mode)},
-        value=_nodewise(value),
-        derivative=deriv,
-    )
+    return TestFunction(name="trig_poly", params={"seed": int(seed), "max_mode": int(max_mode)},
+                        derivative=_nodewise(deriv))
 
 
 FUNCTION_CATALOG = {

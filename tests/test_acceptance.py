@@ -30,7 +30,7 @@ def gfs_error(name, n, N, params=None, jump="analytic", r=6):
     else:
         jumps = estimate_jumps(u, 4 * n, r)
     d = gfs_derivative(gfs_decompose(u, n, jumps))
-    exact = np.array([f.derivative(x, 1) for x in g.nodes()])
+    exact = f.derivative(g.nodes(), 1)
     return float(np.max(np.abs(d.values - exact)))
 
 
@@ -42,7 +42,7 @@ def method_error(name, method, N, params=None, r=6):
         d = fft_derivative(u).values
     elif method == "fd":
         d = fd_differentiate(u, r).values
-    exact = np.array([f.derivative(x, 1) for x in g.nodes()])
+    exact = f.derivative(g.nodes(), 1)
     return float(np.max(np.abs(d - exact)))
 
 

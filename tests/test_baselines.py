@@ -20,7 +20,7 @@ from gfs.baselines import (
     roache_coefficients,
     roache_derivative,
 )
-from gfs.functions import get_function
+from gfs.functions import FUNCTION_CATALOG, get_function
 from gfs.grid import SampledSignal, make_grid, sample, standard_chain_factor, to_standard_interval
 from gfs.jumps import JumpData, jumps_from_analytic, to_standard_jumps
 from gfs.spectral import spectral_derivative_periodic
@@ -29,7 +29,7 @@ PI = math.pi
 
 
 def deriv_error(f, d, grid):
-    exact = np.array([f.derivative(x, 1) for x in grid.nodes()])
+    exact = f.derivative(grid.nodes(), 1)
     return np.max(np.abs(d.values - exact))
 
 
@@ -280,6 +280,22 @@ class TestRoache:
                        for j in range(m, q))
             assert jump == pytest.approx(J[m], abs=1e-10)
 
+    @given(st.sampled_from(sorted(FUNCTION_CATALOG)), st.integers(0, 2 ** 31 - 1),
+           st.integers(16, 512), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_eckhoff_and_roache_differ_by_a_constant(self, name, seed, N, q):
+        # both subtract a degree-q polynomial fixed by the same q jumps, so
+        # their difference has no jump in orders 0..q-1 and is a constant.
+        # linspace puts the last node on pi exactly: Eckhoff's seam sits at
+        # -pi, and a node rounded above pi takes the left-end branch.
+        f = get_function(name, **{"trig_poly": {"seed": seed}, "monomial": {"m": 3}}.get(name, {}))
+        jumps = jumps_from_analytic(f, q)
+        xs = np.linspace(-PI, PI, N + 1)
+        s = eckhoff_singular_part(jumps, xs)
+        g = np.polyval(roache_coefficients(jumps, q)[::-1], xs)
+        scale = max(np.max(np.abs(s)), np.max(np.abs(g)))
+        assert np.ptp(s - g) <= 1e-13 * scale
+
 
 class TestProny:
     def test_constant(self):
@@ -333,7 +349,7 @@ class TestProny:
             g = make_grid(-PI, PI, N)
             fit = prony_fit(sample(f, g), N // 2)
             d = prony_evaluate(fit, g.nodes(), 1)
-            exact = np.array([f.derivative(x, 1) for x in g.nodes()])
+            exact = f.derivative(g.nodes(), 1)
             assert np.max(np.abs(d - exact)) <= 1.0
 
     def test_empty_fit_derivative(self):

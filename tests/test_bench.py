@@ -19,6 +19,7 @@ from gfs.bench import (
 )
 from gfs.cli import main as cli_main
 from gfs.jumps import _fornberg_table, jump_stencils
+from gfs.linalg import DegenerateNodes
 
 HEADER = "method,function,N,param,jump_source,e_inf,e_2,wall_ms"
 
@@ -58,6 +59,27 @@ class TestRunExperiment:
         assert math.isinf(row.e_inf)
         assert math.isinf(row.e_2)
         assert row.note == "IllConditioned"
+
+    def test_realness_violation_becomes_inf_row(self):
+        # one mode per family cannot fit a quadratic's jumps: the model's
+        # imaginary part exceeds the realness tolerance; the fft row survives
+        cfg = ExperimentConfig(function="monomial", params={"m": 2}, methods=("fft", "gfs"),
+                               N_list=(128,), n_modes=1, q=4)
+        fft, failed = run_experiment(cfg).rows
+        assert (failed.method, failed.note, failed.e_inf, failed.e_2) == (
+            "gfs", "RealnessViolation", math.inf, math.inf)
+        assert (fft.method, fft.note) == ("fft", "") and math.isfinite(fft.e_inf)
+
+    @pytest.mark.parametrize("exc", [ArithmeticError("root residual"), ZeroDivisionError(),
+                                     DegenerateNodes("repeated nodes")])
+    def test_numerical_failure_becomes_inf_row(self, exc, monkeypatch):
+        def fail(*args):
+            raise exc
+        monkeypatch.setattr(gfs.bench, "gfs_decompose", fail)
+        cfg = ExperimentConfig(function="gaussian", methods=("fft", "gfs"), N_list=(64,))
+        fft, failed = run_experiment(cfg).rows
+        assert (failed.note, failed.e_inf, failed.e_2) == (type(exc).__name__, math.inf, math.inf)
+        assert fft.note == "" and math.isfinite(fft.e_inf)
 
     def test_rows_sorted_by_method_then_N(self):
         cfg = ExperimentConfig(function="gaussian",
@@ -395,3 +417,23 @@ class TestCli:
     def test_unknown_param_is_input_error(self, argv, capsys):
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: unknown parameters ['k3']")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--function", "gaussian", "--param", "x0=abc", "--N", "32"],
+         "error: --param x0 must be a number, got 'abc'\n"),
+        (["leakage", "--N", "64", "--param", "k1="], "error: --param k1 must be a number, got ''\n"),
+        (["--function", "gaussian", "--param", "x0", "--N", "32"],
+         "error: --param expects key=value, got 'x0'\n"),
+    ])
+    def test_non_numeric_param_is_input_error(self, argv, message, capsys):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == message
+
+    def test_numerical_failure_is_a_row_not_an_abort(self, tmp_path):
+        out = tmp_path / "monomial.csv"
+        assert cli_main(["--function", "monomial", "--param", "m=2", "--n-modes", "1", "--q", "4",
+                         "--N", "128", "--method", "gfs", "--method", "fft",
+                         "--out", str(out)]) == 0
+        rows = {r[0]: r[5:7] for r in read_rows(out)}
+        assert rows["gfs"] == ["inf", "inf"]
+        assert all(math.isfinite(float(e)) for e in rows["fft"])

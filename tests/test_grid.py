@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfs.functions import FUNCTION_CATALOG, NODE_BLOCK, get_function, multimode_wavenumbers
+from gfs.functions import FUNCTION_CATALOG, NODE_BLOCK, _hermite_coeffs, get_function, multimode_wavenumbers
 from gfs.functions import TestFunction as CatalogFunction
 from gfs.grid import (
     BadSample,
@@ -102,6 +102,14 @@ CATALOG_PARAMS = {
 }
 
 
+def trig_poly_coefficients(p):
+    rng = np.random.default_rng(p["seed"])
+    modes = np.arange(1, p["max_mode"] + 1, dtype=float)
+    a = rng.uniform(-1.0, 1.0, modes.size)
+    b = rng.uniform(-1.0, 1.0, modes.size)
+    return modes, a, b, float(rng.uniform(-1.0, 1.0))
+
+
 def scalar_value(f):
     """The catalog's value as it was when sample called it once per node."""
     p = f.params
@@ -118,7 +126,42 @@ def scalar_value(f):
         return lambda x: float(x) ** p["m"]
     if f.name == "leakage_demo":
         return lambda x: p["a1"] * math.sin(p["k1"] * x) + p["a2"] * math.sin(p["k2"] * x)
-    return lambda x: f.derivative(x, 0)  # trig_poly
+    modes, a, b, c0 = trig_poly_coefficients(p)
+    return lambda x: c0 + float(np.sum(a * np.sin(modes * x) + b * np.cos(modes * x)))
+
+
+def scalar_derivative(f):
+    """The catalog's scalar derivative of order m >= 1 as it was written
+    before value and derivative became one closed form."""
+    p = f.params
+
+    def shifted(wave, k, x, m):
+        return k ** m * wave(k * x + m * PI / 2.0)
+
+    if f.name == "modulated_sine":
+        c = complex(p["a"], p["b"])
+        return lambda x, m: (c ** m * np.exp(c * (x + PI))).imag
+    if f.name == "gaussian":
+        def gaussian(x, m):
+            t = (x - p["x0"]) / p["w"]
+            ht = sum(c * t ** i for i, c in enumerate(_hermite_coeffs(m)))
+            return (-1.0 / p["w"]) ** m * ht * math.exp(-t * t)
+        return gaussian
+    if f.name == "log_fn":
+        return lambda x, m: (-1.0) ** (m - 1) * math.factorial(m - 1) / (x + PI + 0.5) ** m
+    if f.name == "multimode":
+        ks = multimode_wavenumbers(p["n_modes"])
+        return lambda x, m: float(np.sum(shifted(np.sin, ks, x, m) + shifted(np.cos, ks, x, m)))
+    if f.name == "monomial":
+        n = p["m"]
+        return lambda x, m: (0.0 if m > n else
+                             math.factorial(n) / math.factorial(n - m) * x ** (n - m))
+    if f.name == "leakage_demo":
+        return lambda x, m: float(p["a1"] * shifted(np.sin, p["k1"], x, m)
+                                  + p["a2"] * shifted(np.sin, p["k2"], x, m))
+    modes, a, b, _ = trig_poly_coefficients(p)  # trig_poly
+    return lambda x, m: float(np.sum(a * shifted(np.sin, modes, x, m)
+                                     + b * shifted(np.cos, modes, x, m)))
 
 
 class TestSampleCatalog:
@@ -154,14 +197,54 @@ class TestSampleCatalog:
     def test_catalog_function_is_sampled_in_one_call(self):
         calls = []
 
-        def value(x):
-            calls.append(x)
+        def derivative(x, m):
+            calls.append((x, m))
             return np.zeros_like(x)
 
         grid = make_grid(-PI, PI, 16)
-        u = sample(CatalogFunction("zero", {}, value, lambda x, m: 0.0), grid)
-        assert len(calls) == 1 and calls[0].tobytes() == grid.nodes().tobytes()
+        u = sample(CatalogFunction("zero", {}, derivative), grid)
+        assert len(calls) == 1 and calls[0][1] == 0
+        assert calls[0][0].tobytes() == grid.nodes().tobytes()
         assert u.values.tobytes() == np.zeros(17).tobytes()
+
+
+class TestCatalogDerivative:
+    @pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+    @given(data=st.data(), centre=st.floats(-0.4, 0.4), length=st.floats(4.5, 2 * PI),
+           N=st.integers(8, 512))
+    @settings(max_examples=10, deadline=None)
+    def test_scalar_calls_keep_every_bit(self, name, data, centre, length, N):
+        # order 0 is the sample formula, orders >= 1 the former scalar derivative,
+        # at both endpoints of the catalog interval and at interior nodes taken
+        # as Python floats and as numpy float64
+        f = get_function(name, **data.draw(CATALOG_PARAMS[name]))
+        nodes = make_grid(centre - 0.5 * length, centre + 0.5 * length, N).nodes()
+        xs = [PI, -PI, float(nodes[1]), float(nodes[N // 2]), nodes[N // 3], nodes[-2]]
+        value, derivative = scalar_value(f), scalar_derivative(f)
+        for m in range(32):
+            for x in xs:
+                got = f.derivative(x, m)
+                want = value(x) if m == 0 else derivative(x, m)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (m, x)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+    @given(data=st.data(), centre=st.floats(-0.4, 0.4), length=st.floats(4.5, 2 * PI),
+           N=st.integers(8, 256))
+    @settings(max_examples=5, deadline=None)
+    def test_array_call_matches_the_scalar_calls(self, name, data, centre, length, N):
+        f = get_function(name, **data.draw(CATALOG_PARAMS[name]))
+        nodes = make_grid(centre - 0.5 * length, centre + 0.5 * length, N).nodes()
+        for m in range(32):
+            got = f.derivative(nodes, m)
+            want = np.array([f.derivative(x, m) for x in nodes])
+            assert got.dtype == np.float64 and got.shape == nodes.shape
+            if name == "modulated_sine" and m >= 1:
+                # the complex product rounds differently on arrays, by an ulp
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 4 * np.spacing(scale), m
+            else:
+                assert got.tobytes() == want.tobytes(), m
 
 
 class TestSamplePlainCallable:

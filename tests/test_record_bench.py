@@ -2,7 +2,11 @@
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -39,8 +43,9 @@ def test_file_schema(monkeypatch, tmp_path):
     workloads = [w["name"] for w in BENCHMARK["workloads"]]
     # every workload, untraced then traced, at the given seed
     assert calls == [(w, 7, trace) for w in workloads for trace in (0, 1)]
-    assert set(data) == {"label", "seed", "seconds", "meta", "runs"}
+    assert set(data) == {"label", "seed", "seconds", "dirty", "meta", "runs"}
     assert (data["label"], data["seed"], data["seconds"]) == ("x", 7, BENCHMARK["run_seconds"])
+    assert data["dirty"] is None  # tmp_path is not a git checkout
     assert data["meta"]["commit"] == "abc"
     assert set(data["runs"]) == set(workloads)
     for w in workloads:
@@ -52,3 +57,25 @@ def test_file_schema(monkeypatch, tmp_path):
             assert set(run["metrics"][BENCHMARK[names][0]["name"]]) == {"value", "unit"}
             assert "functions" not in run["diagnostics"]
             assert run["diagnostics"]["workload"] == w
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_dirty_flag_follows_tracked_files(monkeypatch, tmp_path):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "ROOT", str(tmp_path))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    def dirty():
+        assert tool.main(["--label", "x", "--seed", "7"], runner=stub_runner([])) == 0
+        return json.loads((tmp_path / "BENCH_x.json").read_text())["dirty"]
+
+    git("init", "-q")
+    git("add", "BENCHMARK.json")
+    git("commit", "-q", "-m", "benchmark")
+    assert dirty() is False  # the untracked BENCH_x.json does not count
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK, indent=2))
+    assert dirty() is True

@@ -7,9 +7,10 @@ untraced and then traced, from the root of this checkout, and writes
 ``BENCH_<label>.json`` there. Each run lasts BENCHMARK.json's
 ``run_seconds``, the length every recorded run shares. The file holds the run
 metadata (commit, source hash, Python and numpy versions, nproc, BLAS
-threads, seed) and, for each workload and mode, the run's result line with
-every end-to-end or per-layer metric plus its diagnostics line (speed
-factor, raw times, failures by type). The traced runs' per-function tables
+threads, seed), a top-level ``dirty`` flag (tracked files differ from that
+commit; None outside a git checkout) and, for each workload and mode, the
+run's result line with every end-to-end or per-layer metric plus its
+diagnostics line (speed factor, raw times, failures by type). The traced runs' per-function tables
 are left out; their spans stay in ``perfbench/out/``.
 """
 
@@ -30,6 +31,19 @@ def load_benchmark():
         return json.load(fh)
 
 
+def tree_dirty():
+    """True when tracked files differ from HEAD, None outside a git checkout.
+
+    Untracked files do not count: a BENCH file from an earlier run is one.
+    """
+    try:
+        done = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                              cwd=ROOT, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return bool(done.stdout.strip())
+
+
 def run_bench(workload, seed, trace):
     """The diagnostics line and the result line of one perfbench run."""
     seconds = load_benchmark()["run_seconds"]
@@ -43,6 +57,7 @@ def run_bench(workload, seed, trace):
 def record(label, seed, runner=run_bench):
     """The BENCH_<label>.json content: every workload, untraced then traced."""
     bench = load_benchmark()
+    dirty = tree_dirty()
     runs = {}
     for spec in bench["workloads"]:
         for mode, trace in MODES:
@@ -50,7 +65,7 @@ def record(label, seed, runner=run_bench):
             diag.pop("functions", None)
             runs.setdefault(spec["name"], {})[mode] = {**result, "diagnostics": diag}
     first = next(iter(runs.values()))["untraced"]
-    return {"label": label, "seed": seed, "seconds": bench["run_seconds"],
+    return {"label": label, "seed": seed, "seconds": bench["run_seconds"], "dirty": dirty,
             "meta": first["diagnostics"]["meta"], "runs": runs}
 
 
