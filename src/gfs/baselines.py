@@ -17,7 +17,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from gfs.grid import SampledSignal, standard_chain_factor, to_standard_interval
+from gfs.grid import SampledSignal, standard_chain_factor
 from gfs.jumps import GridTooSmall, JumpData, to_standard_jumps
 from gfs.linalg import polynomial_roots, solve_least_squares, vandermonde_matrix
 from gfs.spectral import spectral_derivative_periodic
@@ -107,7 +107,7 @@ def eckhoff_derivative(u: SampledSignal, jumps: JumpData):
     """
     grid = u.grid
     sj = to_standard_jumps(jumps, grid)
-    xs = to_standard_interval(grid.nodes(), grid)
+    xs = grid.standard_nodes()
     s = eckhoff_singular_part(sj, xs)
     smooth_deriv = spectral_derivative_periodic(u.values - s, 1)
     s_deriv = eckhoff_singular_derivative(sj, xs)
@@ -155,7 +155,7 @@ def roache_derivative(u: SampledSignal, jumps: JumpData, q):
     grid = u.grid
     sj = to_standard_jumps(jumps, grid)
     a = roache_coefficients(sj, q)
-    xs = to_standard_interval(grid.nodes(), grid)
+    xs = grid.standard_nodes()
     g = np.polyval(a[::-1], xs)
     da = a[1:] * np.arange(1, a.size)
     g_deriv = np.polyval(da[::-1], xs)

@@ -207,11 +207,11 @@ def _fmt(v):
 
 def emit_csv(report: ExperimentReport, path):
     """Write the report; floats in scientific notation, 6 significant digits."""
-    lines = ["method,function,N,param,jump_source,e_inf,e_2,wall_ms"]
+    lines = ["method,function,N,param,jump_source,e_inf,e_2,wall_ms,note"]
     for r in report.rows:
         lines.append(",".join([
             r.method, r.function, str(r.N), r.param, r.jump_source,
-            _fmt(r.e_inf), _fmt(r.e_2), _fmt(r.wall_ms)]))
+            _fmt(r.e_inf), _fmt(r.e_2), _fmt(r.wall_ms), r.note]))
     try:
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")

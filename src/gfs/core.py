@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gfs.grid import GridSpec, SampledSignal, to_standard_interval, standard_chain_factor
+from gfs.grid import GridSpec, SampledSignal, standard_chain_factor
 from gfs.jumps import JumpData, to_standard_jumps
 from gfs.linalg import (DegenerateNodes, complex_principal_sqrt, count_distinct,
                         polynomial_roots, solve_least_squares,
@@ -44,11 +44,9 @@ EMPTY_FAMILY_TOL = 1e-13
 # Allowed imaginary leakage when evaluating the (formally real) model.
 REALNESS_TOL = 1e-10
 
-# 1-D arrays of at least this many points whose spacing is uniform to within
-# UNIFORM_ULPS ulps of their largest |x| take the blockwise waves of
-# evaluate_aperiodic; shorter or scattered arrays take the direct waves.
+# Grid nodes given with their step take the blockwise waves of
+# evaluate_aperiodic from this many points on; fewer take the direct waves.
 BLOCK_MIN_POINTS = 2049
-UNIFORM_ULPS = 4
 
 
 class RealnessViolation(ArithmeticError):
@@ -237,24 +235,6 @@ def build_aperiodic_model(jumps: JumpData, n):
     return AperiodicModel(sine_modes=sine, cosine_modes=cosine)
 
 
-def _uniform_step(x):
-    """The spacing h of x if x is a long 1-D array x_0 + j h, else None.
-
-    "Long" is at least BLOCK_MIN_POINTS points; "uniform" is every node
-    within UNIFORM_ULPS ulps of the largest |x| of x_0 + j h.
-    """
-    if x.ndim != 1 or x.size < BLOCK_MIN_POINTS:
-        return None
-    h = (x[-1] - x[0]) / (x.size - 1)
-    # In place: each extra array of this size costs fresh pages.
-    drift = np.arange(x.size, dtype=float)
-    drift *= h
-    drift += x[0]
-    drift -= x
-    bound = UNIFORM_ULPS * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
-    return h if h != 0.0 and np.abs(drift, out=drift).max() <= bound else None
-
-
 def _wave(wave, k, x, shift, h):
     """wave(k x + shift), blockwise when x is uniform with spacing h.
 
@@ -289,7 +269,7 @@ def _wave(wave, k, x, shift, h):
     return out
 
 
-def evaluate_aperiodic(model: AperiodicModel, x, order=0):
+def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, step=None):
     """u_a or its analytic derivative at x (scalar or array) on [-pi, pi].
 
     Derivatives use the phase shift sin(kx + m pi/2); the result's
@@ -310,17 +290,18 @@ def evaluate_aperiodic(model: AperiodicModel, x, order=0):
       are conjugate-symmetric. Models whose pairs are not exact conjugates
       take the general path.
 
-    Blockwise rule: when x is a 1-D array of at least BLOCK_MIN_POINTS
-    points, uniform to UNIFORM_ULPS ulps (x_j = x_0 + j h), each wave comes
-    from the addition theorem on blocks of B ~ sqrt(n) points: sin and cos
-    at the block starts and of k r h (r < B), combined by two outer
-    products. For complex k, B is capped so that |Im k| B h <= 1/2 (B = 1
-    means the direct wave). The blocked waves match the direct ones within
-    about 4 eps (1 + |k| pi) max(1, max|wave|). Smaller or non-uniform x
-    keeps the direct waves, bit for bit.
+    Blockwise rule: given ``step``, the spacing h of grid nodes
+    x_j = x_0 + j h (``GridSpec.standard_nodes()`` and ``.standard_step``),
+    a 1-D x of at least BLOCK_MIN_POINTS points takes each wave from the
+    addition theorem on blocks of B ~ sqrt(n) points: sin and cos at the
+    block starts and of k r h (r < B), combined by two outer products. For
+    complex k, B is capped so that |Im k| B h <= 1/2 (B = 1 means the
+    direct wave). The blocked waves match the direct ones within about
+    4 eps (1 + |k| pi) max(1, max|wave|). Any other x keeps the direct
+    waves, bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    h = _uniform_step(x)
+    h = step if x.ndim == 1 and x.size >= BLOCK_MIN_POINTS else None
     total = np.zeros(x.shape, dtype=complex)
     shift = order * PI / 2.0
     for wave, modes in ((np.sin, model.sine_modes), (np.cos, model.cosine_modes)):
@@ -364,10 +345,10 @@ class GFSDecomposition:
 
 def gfs_decompose(u: SampledSignal, n, jumps: JumpData):
     """Split samples into periodic values and an aperiodic mode model."""
-    model = build_aperiodic_model(to_standard_jumps(jumps, u.grid), n)
-    xs = to_standard_interval(u.grid.nodes(), u.grid)
-    periodic = u.values - evaluate_aperiodic(model, xs)
-    return GFSDecomposition(grid=u.grid, periodic=periodic, aperiodic=model)
+    grid = u.grid
+    model = build_aperiodic_model(to_standard_jumps(jumps, grid), n)
+    ua = evaluate_aperiodic(model, grid.standard_nodes(), step=grid.standard_step)
+    return GFSDecomposition(grid=grid, periodic=u.values - ua, aperiodic=model)
 
 
 def gfs_derivative(dec: GFSDecomposition, order=1):
@@ -382,7 +363,7 @@ def gfs_derivative(dec: GFSDecomposition, order=1):
         raise ValueError("order must be >= 1")
     grid = dec.grid
     dp = spectral_derivative_periodic(dec.periodic, order)
-    xs = to_standard_interval(grid.nodes(), grid)
-    da = evaluate_aperiodic(dec.aperiodic, xs, order)
+    da = evaluate_aperiodic(dec.aperiodic, grid.standard_nodes(), order,
+                            step=grid.standard_step)
     factor = standard_chain_factor(grid) ** order
     return SampledSignal(grid, (dp + da) * factor)

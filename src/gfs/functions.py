@@ -129,6 +129,8 @@ def _hermite_coeffs(order):
 
 def gaussian(x0=3.0 * PI / 4.0, w=1.0):
     """u = exp(-((x-x0)/w)^2); derivatives via the Hermite recurrence."""
+    if w == 0:
+        raise ValueError(f"gaussian needs w != 0, got {w}")
 
     def deriv(x, order):
         t = (x - x0) / w

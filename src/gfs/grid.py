@@ -42,6 +42,19 @@ class GridSpec:
         return self.a + self.dx * np.arange(self.N + 1)
 
     @property
+    def standard_step(self):
+        """Spacing 2*pi/N of the standard nodes."""
+        return 2.0 * math.pi / self.N
+
+    def standard_nodes(self):
+        """The nodes mapped onto [-pi, pi]: -pi + (2*pi/N) j, node N at pi exactly."""
+        x = np.arange(self.N + 1, dtype=float)
+        x *= self.standard_step
+        x -= math.pi
+        x[-1] = math.pi
+        return x
+
+    @property
     def length(self):
         return self.b - self.a
 
@@ -67,7 +80,9 @@ def make_grid(a, b, N):
 
 
 def to_standard_interval(x, grid):
-    """Affine map of [a, b] onto [-pi, pi].
+    """Affine map of scattered points of [a, b] onto [-pi, pi].
+
+    The grid's own nodes on [-pi, pi] are ``grid.standard_nodes()``.
 
     Derivatives transform with the chain factor 2*pi/(b-a), applied by
     callers when converting derivative values back to the original interval.

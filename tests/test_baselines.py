@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfs.baselines import (
@@ -21,8 +21,8 @@ from gfs.baselines import (
     roache_derivative,
 )
 from gfs.functions import FUNCTION_CATALOG, get_function
-from gfs.grid import SampledSignal, make_grid, sample, standard_chain_factor, to_standard_interval
-from gfs.jumps import JumpData, jumps_from_analytic, to_standard_jumps
+from gfs.grid import SampledSignal, make_grid, sample, standard_chain_factor
+from gfs.jumps import JumpData, estimate_jumps, jumps_from_analytic, to_standard_jumps
 from gfs.spectral import spectral_derivative_periodic
 
 PI = math.pi
@@ -146,6 +146,19 @@ class TestEckhoffDerivative:
         e_gfs = deriv_error(f, gfs_derivative(gfs_decompose(u, 3, jumps)), g)
         assert e_gfs < e_eck < e_fft
 
+    @given(st.floats(-50, 50), st.floats(0.01, 100), st.integers(8, 2000))
+    @settings(max_examples=100, deadline=None)
+    def test_last_node_error_is_interior_sized(self, a, L, N):
+        # the last node sits on the seam at pi: a node rounded above pi
+        # would take the left-end branch of V_m and an O(J) error
+        assume(N >= 21)  # two stencils of width q - 1 + r = 11
+        f = get_function("gaussian", x0=a + 0.7 * L, w=0.3 * L)
+        g = make_grid(a, a + L, N)
+        u = sample(f, g)
+        d = eckhoff_derivative(u, estimate_jumps(u, 6, 6))
+        err = np.abs(d.values - f.derivative(g.nodes(), 1))
+        assert err[-1] <= 100 * np.max(err[:-1])
+
     def test_zero_jumps_reduce_to_fft(self):
         f = get_function("trig_poly", seed=11)
         g = make_grid(-PI, PI, 64)
@@ -173,7 +186,7 @@ def _eckhoff_V_ref(m, x):
 def _eckhoff_derivative_ref(u, jumps):
     grid = u.grid
     sj = to_standard_jumps(jumps, grid)
-    xs = to_standard_interval(grid.nodes(), grid)
+    xs = grid.standard_nodes()
     s = np.array([sum(-sj.J[m] * _eckhoff_V_ref(m, x) for m in range(sj.q)) for x in xs])
     s_deriv = []
     for x in xs:
@@ -286,11 +299,9 @@ class TestRoache:
     def test_eckhoff_and_roache_differ_by_a_constant(self, name, seed, N, q):
         # both subtract a degree-q polynomial fixed by the same q jumps, so
         # their difference has no jump in orders 0..q-1 and is a constant.
-        # linspace puts the last node on pi exactly: Eckhoff's seam sits at
-        # -pi, and a node rounded above pi takes the left-end branch.
         f = get_function(name, **{"trig_poly": {"seed": seed}, "monomial": {"m": 3}}.get(name, {}))
         jumps = jumps_from_analytic(f, q)
-        xs = np.linspace(-PI, PI, N + 1)
+        xs = make_grid(-PI, PI, N).standard_nodes()
         s = eckhoff_singular_part(jumps, xs)
         g = np.polyval(roache_coefficients(jumps, q)[::-1], xs)
         scale = max(np.max(np.abs(s)), np.max(np.abs(g)))

@@ -9,6 +9,7 @@ import gfs.bench
 from gfs.bench import (
     ExperimentConfig,
     ExperimentReport,
+    ExperimentRow,
     _warm_up_numpy,
     convergence_sweep,
     emit_csv,
@@ -21,7 +22,7 @@ from gfs.cli import main as cli_main
 from gfs.jumps import _fornberg_table, jump_stencils
 from gfs.linalg import DegenerateNodes
 
-HEADER = "method,function,N,param,jump_source,e_inf,e_2,wall_ms"
+HEADER = "method,function,N,param,jump_source,e_inf,e_2,wall_ms,note"
 
 
 def read_rows(path):
@@ -112,9 +113,9 @@ class TestEmitCsv:
         emit_csv(run_experiment(cfg), out)
         rows = read_rows(out)
         assert len(rows) == 1
-        method, function, N, param, src, e_inf, e_2, wall = rows[0]
-        assert (method, function, N, param, src) == ("gfs", "gaussian", "64",
-                                                     "3", "analytic")
+        method, function, N, param, src, e_inf, e_2, wall, note = rows[0]
+        assert (method, function, N, param, src, note) == ("gfs", "gaussian", "64",
+                                                           "3", "analytic", "")
         assert float(e_inf) <= 1e-12
         # 6 significant digits, scientific
         assert "e" in e_inf and len(e_inf.split("e")[0].replace("-", "").replace(".", "")) == 6
@@ -126,6 +127,18 @@ class TestEmitCsv:
         emit_csv(run_experiment(cfg), out)
         row = read_rows(out)[0]
         assert row[5] == "inf" and row[6] == "inf"
+
+    def test_failures_differ_by_note(self, tmp_path):
+        # two failed rows with the same inf errors differ in the last column
+        rows = tuple(ExperimentRow(method="gfs", function="monomial", N=128, param="1",
+                                   jump_source="analytic", e_inf=math.inf, e_2=math.inf,
+                                   wall_ms=0.0, note=note)
+                     for note in ("RealnessViolation", "IllConditioned"))
+        out = tmp_path / "notes.csv"
+        emit_csv(ExperimentReport(rows=rows), out)
+        realness, ill = read_rows(out)
+        assert realness[:8] == ill[:8]
+        assert (realness[8], ill[8]) == ("RealnessViolation", "IllConditioned")
 
     def test_determinism_excluding_wall_time(self, tmp_path):
         cfg = ExperimentConfig(function="log_fn", methods=("gfs", "fft"),
@@ -311,7 +324,8 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: jump_source must be")
 
     @pytest.mark.parametrize("function, param", [
-        ("multimode", "n_modes=1"), ("multimode", "n_modes=0"), ("monomial", "m=-1")])
+        ("multimode", "n_modes=1"), ("multimode", "n_modes=0"), ("monomial", "m=-1"),
+        ("gaussian", "w=0")])
     def test_unevaluable_catalog_param(self, function, param, capsys):
         # rejected by the catalog factory, before any closed form is evaluated
         with warnings.catch_warnings():
@@ -350,13 +364,11 @@ class TestCli:
                 "--N", "32", "--N", "64", "--prony-M", "20"]
         out = tmp_path / "prony.csv"
         assert cli_main(argv + ["--out", str(out)]) == 0
-        rows = {(r[0], r[2]): r[5:7] for r in read_rows(out)}
+        rows = {(r[0], r[2]): r[5:7] + r[8:] for r in read_rows(out)}
         assert sorted(rows) == [("gfs", "32"), ("gfs", "64"), ("prony", "32"), ("prony", "64")]
-        assert rows[("prony", "32")] == ["inf", "inf"]
-        assert all(math.isfinite(float(e)) for e in rows[("gfs", "32")] + rows[("gfs", "64")])
-        report = run_experiment(ExperimentConfig(
-            function="gaussian", methods=("prony",), N_list=(32, 64), prony_M="20"))
-        assert [r.note for r in report.rows] == ["GridTooSmall", "IllConditioned"]
+        assert rows[("prony", "32")] == ["inf", "inf", "GridTooSmall"]
+        assert rows[("prony", "64")] == ["inf", "inf", "IllConditioned"]
+        assert all(math.isfinite(float(e)) for e in rows[("gfs", "32")][:2] + rows[("gfs", "64")][:2])
 
     def test_unwritable_output_is_io_error(self):
         rc = cli_main(["--function", "gaussian", "--method", "gfs",
@@ -434,6 +446,6 @@ class TestCli:
         assert cli_main(["--function", "monomial", "--param", "m=2", "--n-modes", "1", "--q", "4",
                          "--N", "128", "--method", "gfs", "--method", "fft",
                          "--out", str(out)]) == 0
-        rows = {r[0]: r[5:7] for r in read_rows(out)}
-        assert rows["gfs"] == ["inf", "inf"]
-        assert all(math.isfinite(float(e)) for e in rows["fft"])
+        rows = {r[0]: r[5:7] + r[8:] for r in read_rows(out)}
+        assert rows["gfs"] == ["inf", "inf", "RealnessViolation"]
+        assert all(math.isfinite(float(e)) for e in rows["fft"][:2]) and rows["fft"][2] == ""

@@ -11,7 +11,6 @@ from gfs.core import (
     REALNESS_TOL,
     AperiodicModel,
     RealnessViolation,
-    _uniform_step,
     _wave,
     build_aperiodic_model,
     evaluate_aperiodic,
@@ -23,7 +22,7 @@ from gfs.core import (
     solve_mode_amplitudes,
 )
 from gfs.functions import get_function
-from gfs.grid import make_grid, sample, to_standard_interval
+from gfs.grid import SampledSignal, make_grid, sample
 from gfs.jumps import JumpData, estimate_jumps, jumps_from_analytic
 from gfs.linalg import complex_principal_sqrt
 
@@ -274,22 +273,16 @@ def assert_same_bits(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def nudged_nodes(N, j, dx):
-    x = make_grid(-PI, PI, N).nodes()
-    x[j] += dx
-    return x
-
-
 class TestEvaluateSameBits:
     """The float-wave and conjugate-reuse rules change no bit of the result.
 
-    Short or non-uniform arrays keep the direct waves: a 2048-point array
-    and a long grid with one node nudged off uniform spacing are here too.
+    Arrays given without a step keep the direct waves whatever their
+    length: a 2048-point array and a 4097-point grid are here too.
     """
 
     POINTS = [make_grid(-PI, PI, 64).nodes(), make_grid(-PI, PI, 1024).nodes(),
               np.linspace(-PI, PI, 2048),
-              nudged_nodes(4096, 1234, 1e-12), PI, -PI]
+              make_grid(-PI, PI, 4096).standard_nodes(), PI, -PI]
 
     def check(self, model):
         for x in self.POINTS:
@@ -342,23 +335,38 @@ def draw_wavenumbers(kind, rng, count):
 
 
 class TestBlockwiseWaves:
-    """Long uniform arrays take blocked waves: close to the direct ones."""
+    """Long grids take blocked waves: close to the direct ones."""
 
-    def test_the_path_is_chosen_by_size_and_spacing(self):
-        # 2049 points and more: blocked; 2048 points or a nudged node: direct
-        assert _uniform_step(make_grid(-PI, PI, 2048).nodes()) is not None
-        assert _uniform_step(make_grid(0.0, 1.0, 32768).nodes()) is not None
-        assert _uniform_step(np.linspace(-PI, PI, 2048)) is None
-        assert _uniform_step(nudged_nodes(4096, 1234, 1e-12)) is None
-        assert _uniform_step(make_grid(-PI, PI, 4096).nodes().reshape(1, -1)) is None
-        assert _uniform_step(np.full(4097, 1.5)) is None
+    @pytest.mark.parametrize("a, b", [(-PI, PI), (0.0, 1.0), (1000.0, 1006.0), (36.364, 134.484)])
+    def test_only_size_chooses_the_path(self, a, b, monkeypatch):
+        # grid calls block from 2049 nodes on, on any interval; arrays given
+        # without a step, and 2-D arrays, never block
+        steps = []
+
+        def spy(wave, k, x, shift, h):
+            steps.append(h)
+            return _wave(wave, k, x, shift, h)
+
+        monkeypatch.setattr("gfs.core._wave", spy)
+        jumps = sine_sum_jumps([0.45], [1.3], 4)
+        for N, blocked in ((2047, False), (2048, True), (32768, True)):
+            grid = make_grid(a, b, N)
+            steps.clear()
+            gfs_derivative(gfs_decompose(SampledSignal(grid, np.zeros(N + 1)), 1, jumps))
+            assert steps and set(steps) == {grid.standard_step if blocked else None}, N
+        model = build_aperiodic_model(jumps, 1)
+        grid = make_grid(a, b, 4096)
+        steps.clear()
+        evaluate_aperiodic(model, grid.standard_nodes())
+        evaluate_aperiodic(model, grid.standard_nodes().reshape(1, -1), step=grid.standard_step)
+        evaluate_aperiodic(model, grid.standard_nodes()[:2048], step=grid.standard_step)
+        assert steps == [None] * 3
 
     @pytest.mark.parametrize("kind", ["real", "complex", "imaginary", "tiny"])
     @pytest.mark.parametrize("N", [2048, 4096, 32768])
     def test_blocked_waves_match_direct_waves(self, kind, N):
-        x = make_grid(-PI, PI, N).nodes()
-        h = _uniform_step(x)
-        assert h is not None
+        grid = make_grid(-PI, PI, N)
+        x, h = grid.standard_nodes(), grid.standard_step
         rng = np.random.default_rng(N + len(kind))
         for k in draw_wavenumbers(kind, rng, 6):
             k = k.real if kind == "real" else k
@@ -373,16 +381,17 @@ class TestBlockwiseWaves:
                     assert np.max(np.abs(got - want)) <= bound, (k, order, wave)
 
     def test_fitted_models_match_the_direct_loop(self):
-        x = make_grid(-PI, PI, 32768).nodes()
+        grid = make_grid(-PI, PI, 32768)
+        x = grid.standard_nodes()
         for label, model in fitted_models():
             for order in range(4):
                 try:
                     want = loop_evaluate(model, x, order)
                 except RealnessViolation:
                     with pytest.raises(RealnessViolation):
-                        evaluate_aperiodic(model, x, order)
+                        evaluate_aperiodic(model, x, order, step=grid.standard_step)
                     continue
-                got = evaluate_aperiodic(model, x, order)
+                got = evaluate_aperiodic(model, x, order, step=grid.standard_step)
                 scale = max((abs(k) for k, _ in model.sine_modes + model.cosine_modes),
                             default=1.0) ** order
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, scale), label
@@ -398,12 +407,13 @@ class TestBlockwiseWaves:
                       (1.2264258614055646e-05j, 3835109159.0507197 + 0j)))
 
     @staticmethod
-    def assert_matches_loop_to_mode_scale(model, x, order):
+    def assert_matches_loop_to_mode_scale(model, grid, order):
         """Blocked sum vs the direct loop, within 16 eps of sum |a k^order| (1+|k| pi) max|wave|."""
+        x = grid.standard_nodes()
         want = loop_evaluate(model, x, order)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = evaluate_aperiodic(model, x, order)
+            got = evaluate_aperiodic(model, x, order, step=grid.standard_step)
         scale = sum(abs(a * k ** order) * (1 + abs(k) * PI) * math.cosh(k.imag * PI)
                     for k, a in model.sine_modes + model.cosine_modes)
         assert np.max(np.abs(got - want)) <= 16 * EPS * max(1.0, scale), order
@@ -411,10 +421,8 @@ class TestBlockwiseWaves:
     @pytest.mark.parametrize("N", [4096, 32768])
     def test_cancelling_fit_matches_the_direct_loop(self, N):
         grid = make_grid(*self.CUBIC_INTERVAL, N)
-        xs = to_standard_interval(grid.nodes(), grid)
-        assert _uniform_step(xs) is not None
         for order in range(4):
-            self.assert_matches_loop_to_mode_scale(self.CANCELLING_MODEL, xs, order)
+            self.assert_matches_loop_to_mode_scale(self.CANCELLING_MODEL, grid, order)
 
     @pytest.mark.parametrize("N", [4096, 32768])
     def test_fd_fit_of_a_cubic_meets_its_tolerance(self, N):
@@ -423,11 +431,9 @@ class TestBlockwiseWaves:
         # 1e-4, the tolerance of the cubic n=2 FD-jump benchmark cases
         grid = make_grid(*self.CUBIC_INTERVAL, N)
         u = sample(get_function("monomial", m=3), grid)
-        xs = to_standard_interval(grid.nodes(), grid)
-        assert _uniform_step(xs) is not None
         dec = gfs_decompose(u, 2, estimate_jumps(u, 8, 6))
         for order in range(2):
-            self.assert_matches_loop_to_mode_scale(dec.aperiodic, xs, order)
+            self.assert_matches_loop_to_mode_scale(dec.aperiodic, grid, order)
         err = np.max(np.abs(gfs_derivative(dec).values - 3.0 * grid.nodes() ** 2))
         assert err <= 1e-4
 
@@ -435,21 +441,21 @@ class TestBlockwiseWaves:
         model = AperiodicModel(
             sine_modes=((1.3 + 0.4j, 0.8 - 0.3j), (2.0 + 0j, 1.0 + 0j),
                         (1.3 - 0.4j, 0.8 + 0.1j)))
-        x = make_grid(-PI, PI, 4096).nodes()
-        assert _uniform_step(x) is not None
+        grid = make_grid(-PI, PI, 4096)
         with pytest.raises(RealnessViolation):
-            evaluate_aperiodic(model, x, 1)
+            evaluate_aperiodic(model, grid.standard_nodes(), 1, step=grid.standard_step)
 
     @pytest.mark.parametrize("family", ["sine_modes", "cosine_modes"])
     def test_mode_at_the_amplitude_guard_edge(self, family):
         # |Im k| pi = 710.3: the wave at x = +-pi is within 15% of overflow
         k = 0.3 + 226.1j
         model = AperiodicModel(**{family: ((k, 1e-300 + 0j), (k.conjugate(), 1e-300 + 0j))})
-        x = make_grid(-PI, PI, 32768).nodes()
+        grid = make_grid(-PI, PI, 32768)
         for order in range(4):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                out = evaluate_aperiodic(model, x, order)
+                out = evaluate_aperiodic(model, grid.standard_nodes(), order,
+                                         step=grid.standard_step)
             assert np.all(np.isfinite(out))
 
 
@@ -508,9 +514,7 @@ class TestDecompose:
         g = make_grid(-PI, PI, 64)
         u = sample(f, g)
         dec = gfs_decompose(u, 3, jumps_from_analytic(f, 12))
-        from gfs.grid import to_standard_interval
-        xs = to_standard_interval(g.nodes(), g)
-        ua = evaluate_aperiodic(dec.aperiodic, xs)
+        ua = evaluate_aperiodic(dec.aperiodic, g.standard_nodes())
         scale = np.max(np.abs(u.values))
         np.testing.assert_allclose(dec.periodic + ua, u.values,
                                    atol=1e-12 * scale)
@@ -534,9 +538,7 @@ class TestDecompose:
         g = make_grid(-PI, PI, 64)
         u = sample(f, g)
         dec = gfs_decompose(u, 1, jumps_from_analytic(f, 4))
-        from gfs.grid import to_standard_interval
-        xs = to_standard_interval(g.nodes(), g)
-        ua = evaluate_aperiodic(dec.aperiodic, xs)
+        ua = evaluate_aperiodic(dec.aperiodic, g.standard_nodes())
         np.testing.assert_allclose(ua.real, g.nodes(), atol=1e-8)
 
     @pytest.mark.parametrize("n", [0, -1])

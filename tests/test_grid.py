@@ -51,6 +51,18 @@ class TestGridSpec:
             make_grid(a, b, 64)
 
 
+class TestStandardNodes:
+    @given(st.floats(-50, 50), st.floats(0.01, 100), st.integers(8, 2000))
+    @settings(max_examples=100, deadline=None)
+    def test_end_on_pi_and_increase(self, a, L, N):
+        g = make_grid(a, a + L, N)
+        x = g.standard_nodes()
+        assert x.shape == (N + 1,)
+        assert (x[0], x[-1]) == (-PI, PI)
+        assert np.all(np.diff(x) > 0)
+        assert g.standard_step == 2 * PI / N
+
+
 class TestStandardInterval:
     def test_endpoints_and_midpoint(self):
         g = make_grid(0.0, 1.0, 8)
