@@ -44,7 +44,7 @@ EMPTY_FAMILY_TOL = 1e-13
 # Allowed imaginary leakage when evaluating the (formally real) model.
 REALNESS_TOL = 1e-10
 
-# Grid nodes given with their step take the blockwise waves of
+# Grid nodes given with their step take the blocked mode product of
 # evaluate_aperiodic from this many points on; fewer take the direct waves.
 BLOCK_MIN_POINTS = 2049
 
@@ -83,8 +83,8 @@ def solve_elementary_symmetric(jumps: JumpData, parity, n):
     # leaves genuine rank deficiency (fewer actual modes than n) visible.
     c = max(float(np.max(np.abs(J[:2 * n]))), 1.0) ** (1.0 / (2 * n - 1)) if n > 1 else 1.0
     powers = c ** -np.arange(2 * n, dtype=float)
-    H = np.array([[J[i + j] * powers[i + j] for j in range(n)]
-                  for i in range(n)], dtype=complex)
+    r = np.arange(n)
+    H = (J[:2 * n] * powers)[np.add.outer(r, r)].astype(complex)
     rhs = (J[n:2 * n] * powers[n:2 * n]).astype(complex)
     x, rank = solve_least_squares(H, -rhs)
     e = x * c ** (n - np.arange(n, dtype=float))
@@ -235,38 +235,47 @@ def build_aperiodic_model(jumps: JumpData, n):
     return AperiodicModel(sine_modes=sine, cosine_modes=cosine)
 
 
-def _wave(wave, k, x, shift, h):
-    """wave(k x + shift), blockwise when x is uniform with spacing h.
+def _mode_loop(model, x, order):
+    """The complex mode sum at any x, one direct wave per mode."""
+    total = np.zeros(x.shape, dtype=complex)
+    shift = order * PI / 2.0
+    for wave, modes in ((np.sin, model.sine_modes), (np.cos, model.cosine_modes)):
+        unpaired = {}  # (k, c) -> term, complex modes still without a partner
+        for k, a in modes:
+            c = a * k ** order
+            if k.imag == 0.0:
+                term = c * wave(k.real * x + shift)
+            elif (partner := unpaired.pop((k.conjugate(), c.conjugate()), None)) is not None:
+                term = partner.conjugate()
+            else:
+                term = unpaired[(k, c)] = c * wave(k * x + shift)
+            total += term
+    return total
 
-    With h None the wave is direct. Otherwise x splits into blocks of B
-    points, x_(mB+r) ~ x_(mB) + r h, and the addition theorem combines the
-    waves at the block starts with sin and cos of k r h in two outer
-    products; the points after the last whole block are direct.
+
+def _mode_product(model, x, order, h, B):
+    """The complex mode sum at uniform nodes x_j ~ x_0 + j h as one product.
+
+    Each wave is sin(k x + phi), with phi = order pi/2 for a sine mode and
+    (order + 1) pi/2 for a cosine mode. With x_(mB+r) ~ x_(mB) + r h, the
+    addition theorem makes the sum over all J modes at the M whole blocks
+    of B points A @ W: A (M x 2J) holds c sin(k x_(mB) + phi) next to
+    c cos(k x_(mB) + phi), c = a k^order, and W (2J x B) holds cos(k r h)
+    on top of sin(k r h). The points after the last whole block are one
+    direct (tail x J) product.
     """
-    if h is None:
-        return wave(k * x + shift)
-    B = math.isqrt(x.size)
-    if abs(k.imag * h) * B > 0.5:
-        # Keep |Im k| B h <= 1/2, which bounds how far the cancelling
-        # products outgrow the wave.
-        B = int(0.5 / abs(k.imag * h))
-    if B <= 1:
-        return wave(k * x + shift)
+    modes = model.sine_modes + model.cosine_modes
+    k = np.array([k for k, _ in modes], dtype=complex)
+    c = np.array([a * k ** order for k, a in modes], dtype=complex)
+    phi = (order + (np.arange(k.size) >= len(model.sine_modes))) * PI / 2.0
     whole = x.size // B * B
-    start = k * x[:whole:B] + shift
-    step = k * (h * np.arange(B))
-    s, c = np.sin(start)[:, None], np.cos(start)[:, None]
-    ss, cs = np.sin(step), np.cos(step)
-    out = np.empty(x.size, dtype=start.dtype)
-    body = out[:whole].reshape(-1, B)
-    if wave is np.sin:
-        np.multiply(s, cs, out=body)
-        body += c * ss
-    else:
-        np.multiply(c, cs, out=body)
-        body -= s * ss
-    out[whole:] = wave(k * x[whole:] + shift)
-    return out
+    start = np.multiply.outer(x[:whole:B], k) + phi
+    step = np.multiply.outer(k, h * np.arange(B))
+    total = np.empty(x.size, dtype=complex)
+    np.matmul(np.hstack([c * np.sin(start), c * np.cos(start)]),
+              np.vstack([np.cos(step), np.sin(step)]), out=total[:whole].reshape(-1, B))
+    total[whole:] = np.sin(np.multiply.outer(x[whole:], k) + phi) @ c
+    return total
 
 
 def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, step=None):
@@ -276,9 +285,9 @@ def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, step=None):
     imaginary part must stay below the realness tolerance, otherwise the
     conjugate pairing is broken and RealnessViolation is raised.
 
-    Each mode adds its term c * wave(k x + shift), c = a k^order, to the
-    complex total in model order. Two rules skip complex sines and cosines
-    without changing a bit of the result:
+    Direct rule: each mode adds its term c * wave(k x + shift),
+    c = a k^order, to the complex total in model order. Two rules skip
+    complex sines and cosines without changing a bit of the result:
 
     - A real wavenumber (k.imag == 0) takes the float wave of
       k.real * x + shift: the complex wave of a real argument has that real
@@ -292,29 +301,24 @@ def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, step=None):
 
     Blockwise rule: given ``step``, the spacing h of grid nodes
     x_j = x_0 + j h (``GridSpec.standard_nodes()`` and ``.standard_step``),
-    a 1-D x of at least BLOCK_MIN_POINTS points takes each wave from the
-    addition theorem on blocks of B ~ sqrt(n) points: sin and cos at the
-    block starts and of k r h (r < B), combined by two outer products. For
-    complex k, B is capped so that |Im k| B h <= 1/2 (B = 1 means the
-    direct wave). The blocked waves match the direct ones within about
-    4 eps (1 + |k| pi) max(1, max|wave|). Any other x keeps the direct
-    waves, bit for bit.
+    a 1-D x of at least BLOCK_MIN_POINTS points takes the whole sum as one
+    matrix product (``_mode_product``) over blocks of B points: the waves
+    of every mode at the block starts times cos and sin of k r h (r < B).
+    One B serves all modes: isqrt(x.size), cut so that
+    max|Im k| B h <= 1/2, which bounds how far the cancelling products
+    outgrow the waves; B <= 1 takes the direct rule. The product matches
+    the direct sum within about 16 eps sum |c| (1 + |k| pi) cosh(Im k pi).
+    Any other x keeps the direct rule, bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    h = step if x.ndim == 1 and x.size >= BLOCK_MIN_POINTS else None
-    total = np.zeros(x.shape, dtype=complex)
-    shift = order * PI / 2.0
-    for wave, modes in ((np.sin, model.sine_modes), (np.cos, model.cosine_modes)):
-        unpaired = {}  # (k, c) -> term, complex modes still without a partner
-        for k, a in modes:
-            c = a * k ** order
-            if k.imag == 0.0:
-                term = c * _wave(wave, k.real, x, shift, h)
-            elif (partner := unpaired.pop((k.conjugate(), c.conjugate()), None)) is not None:
-                term = partner.conjugate()
-            else:
-                term = unpaired[(k, c)] = c * _wave(wave, k, x, shift, h)
-            total += term
+    B = 0
+    if step is not None and x.ndim == 1 and x.size >= BLOCK_MIN_POINTS:
+        B = math.isqrt(x.size)
+        im = max((abs(k.imag) for k, _ in model.sine_modes + model.cosine_modes),
+                 default=0.0) * step
+        if im * B > 0.5:
+            B = int(0.5 / im)
+    total = _mode_product(model, x, order, step, B) if B > 1 else _mode_loop(model, x, order)
     scale = 1.0 + np.max(np.abs(total.real)) if total.size else 1.0
     max_imag = np.max(np.abs(total.imag)) if total.size else 0.0
     if max_imag > REALNESS_TOL * scale:

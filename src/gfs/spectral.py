@@ -23,6 +23,8 @@ def spectral_derivative_periodic(values, order=1):
     values = np.asarray(values, dtype=float)
     N = values.size - 1
     u = values[:N]
-    mult = (1j * np.arange(N // 2 + 1)) ** order
+    ik = 1j * np.arange(N // 2 + 1)
+    # numpy's complex power is slow and gives i k itself at order 1
+    mult = ik if order == 1 else ik ** order
     du = np.fft.irfft(np.fft.rfft(u) * mult, n=N)
     return np.concatenate([du, du[:1]])

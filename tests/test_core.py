@@ -11,7 +11,7 @@ from gfs.core import (
     REALNESS_TOL,
     AperiodicModel,
     RealnessViolation,
-    _wave,
+    _mode_product,
     build_aperiodic_model,
     evaluate_aperiodic,
     gfs_decompose,
@@ -343,42 +343,52 @@ class TestBlockwiseWaves:
         # without a step, and 2-D arrays, never block
         steps = []
 
-        def spy(wave, k, x, shift, h):
+        def spy(model, x, order, h, B):
             steps.append(h)
-            return _wave(wave, k, x, shift, h)
+            return _mode_product(model, x, order, h, B)
 
-        monkeypatch.setattr("gfs.core._wave", spy)
+        monkeypatch.setattr("gfs.core._mode_product", spy)
         jumps = sine_sum_jumps([0.45], [1.3], 4)
         for N, blocked in ((2047, False), (2048, True), (32768, True)):
             grid = make_grid(a, b, N)
             steps.clear()
             gfs_derivative(gfs_decompose(SampledSignal(grid, np.zeros(N + 1)), 1, jumps))
-            assert steps and set(steps) == {grid.standard_step if blocked else None}, N
+            assert steps == ([grid.standard_step] * 2 if blocked else []), N
         model = build_aperiodic_model(jumps, 1)
         grid = make_grid(a, b, 4096)
         steps.clear()
         evaluate_aperiodic(model, grid.standard_nodes())
         evaluate_aperiodic(model, grid.standard_nodes().reshape(1, -1), step=grid.standard_step)
         evaluate_aperiodic(model, grid.standard_nodes()[:2048], step=grid.standard_step)
-        assert steps == [None] * 3
+        assert steps == []
 
     @pytest.mark.parametrize("kind", ["real", "complex", "imaginary", "tiny"])
     @pytest.mark.parametrize("N", [2048, 4096, 32768])
     def test_blocked_waves_match_direct_waves(self, kind, N):
+        # one real mode per model: a real k, an imaginary k with the
+        # amplitude that makes its wave real, or a complex k with its
+        # conjugate partner (a lone complex mode is not real); each wave
+        # stays within 16 eps (1 + |k| pi) max|wave| of the direct one
         grid = make_grid(-PI, PI, N)
         x, h = grid.standard_nodes(), grid.standard_step
         rng = np.random.default_rng(N + len(kind))
         for k in draw_wavenumbers(kind, rng, 6):
-            k = k.real if kind == "real" else k
             for order in range(4):
-                for wave in (np.sin, np.cos):
-                    want = wave(k * x + order * PI / 2.0)
+                for family, wave in (("sine_modes", np.sin), ("cosine_modes", np.cos)):
+                    if kind == "real":
+                        modes = ((k.real + 0j, 1.0 + 0j),)
+                    elif kind == "imaginary":
+                        modes = ((k, -1j if wave is np.sin else 1.0 + 0j),)
+                    else:
+                        modes = ((k, 1.0 + 0j), (k.conjugate(), 1.0 + 0j))
+                    model = AperiodicModel(**{family: modes})
+                    want = loop_evaluate(model, x, order)
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        got = _wave(wave, k, x, order * PI / 2.0, h)
-                    assert got.dtype == want.dtype
-                    bound = 16 * EPS * (1 + abs(k) * PI) * max(1.0, np.max(np.abs(want)))
-                    assert np.max(np.abs(got - want)) <= bound, (k, order, wave)
+                        got = evaluate_aperiodic(model, x, order, step=h)
+                    bound = 16 * EPS * (1 + abs(k) * PI) * len(modes) * abs(k) ** order * max(
+                        1.0, np.max(np.abs(wave(k * x + order * PI / 2.0))))
+                    assert np.max(np.abs(got - want)) <= bound, (k, order, family)
 
     def test_fitted_models_match_the_direct_loop(self):
         grid = make_grid(-PI, PI, 32768)
@@ -436,6 +446,49 @@ class TestBlockwiseWaves:
             self.assert_matches_loop_to_mode_scale(dec.aperiodic, grid, order)
         err = np.max(np.abs(gfs_derivative(dec).values - 3.0 * grid.nodes() ** 2))
         assert err <= 1e-4
+
+    @staticmethod
+    def draw_model(rng, h):
+        """Real modes, exact conjugate pairs, unpaired complex modes and wide modes.
+
+        Unpaired modes are real on their own (an imaginary k whose amplitude
+        makes the wave real) or pairs off by 1e-15 in one amplitude; wide
+        modes are exact pairs whose |Im k| cuts the block to at most 8
+        points (B <= 1 where that stays clear of overflow). Amplitudes carry
+        1/cosh(Im k pi), so every term stays O(1) on [-pi, pi].
+        """
+        families = ([], [])
+        for _ in range(rng.integers(1, 7)):
+            family = families[rng.integers(2)]
+            kind = rng.integers(4)
+            im = rng.uniform(min(0.0625 / h, 150.0), 220.0) if kind == 3 else rng.uniform(-40, 40)
+            k = complex(rng.uniform(-40, 40), im)
+            a = complex(*rng.uniform(-2, 2, 2)) / math.cosh(k.imag * PI)
+            if kind == 0:
+                family.append((k.real + 0j, a.real + 0j))
+            elif kind == 2 and rng.integers(2):
+                k = complex(0.0, k.imag)
+                family.append((k, a.real * (-1j if family is families[0] else 1.0)))
+            else:
+                near = 1e-15j * abs(a) if kind == 2 else 0.0
+                family.extend([(k, a), (k.conjugate(), a.conjugate() + near)])
+        return AperiodicModel(sine_modes=tuple(families[0]), cosine_modes=tuple(families[1]))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2048, 4097, 32768]))
+    @settings(max_examples=30, deadline=None)
+    def test_random_models_match_the_direct_loop(self, seed, N):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-50, 50)
+        grid = make_grid(a, a + rng.uniform(0.01, 100), N)
+        model = self.draw_model(rng, grid.standard_step)
+        for order in range(4):
+            self.assert_matches_loop_to_mode_scale(model, grid, order)
+        broken = AperiodicModel(
+            sine_modes=model.sine_modes + ((1.3 + 0.4j, 0.8 - 0.3j), (1.3 - 0.4j, 0.8 + 0.1j)),
+            cosine_modes=model.cosine_modes)
+        for order in range(4):
+            with pytest.raises(RealnessViolation):
+                evaluate_aperiodic(broken, grid.standard_nodes(), order, step=grid.standard_step)
 
     def test_broken_pair_still_raises(self):
         model = AperiodicModel(
