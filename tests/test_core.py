@@ -367,8 +367,9 @@ class TestBlockwiseWaves:
     def test_blocked_waves_match_direct_waves(self, kind, N):
         # one real mode per model: a real k, an imaginary k with the
         # amplitude that makes its wave real, or a complex k with its
-        # conjugate partner (a lone complex mode is not real); each wave
-        # stays within 16 eps (1 + |k| pi) max|wave| of the direct one
+        # conjugate partner (a lone complex mode is not real); each of its
+        # terms stays within 16 eps (1 + |k| pi) |k|^order max|wave| of the
+        # direct loop's
         grid = make_grid(-PI, PI, N)
         x, h = grid.standard_nodes(), grid.standard_step
         rng = np.random.default_rng(N + len(kind))
@@ -453,8 +454,9 @@ class TestBlockwiseWaves:
 
         Unpaired modes are real on their own (an imaginary k whose amplitude
         makes the wave real) or pairs off by 1e-15 in one amplitude; wide
-        modes are exact pairs whose |Im k| cuts the block to at most 8
-        points (B <= 1 where that stays clear of overflow). Amplitudes carry
+        modes are exact pairs whose |Im k| <= 220 cuts the block to 8 points
+        or fewer, down to B <= 1 (to 11-17 points at N = 32768, where a
+        shorter block needs a wave that overflows). Amplitudes carry
         1/cosh(Im k pi), so every term stays O(1) on [-pi, pi].
         """
         families = ([], [])
