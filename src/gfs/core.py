@@ -254,28 +254,67 @@ def _mode_loop(model, x, order):
 
 
 def _mode_product(model, x, order, h, B):
-    """The complex mode sum at uniform nodes x_j ~ x_0 + j h as one product.
+    """The mode sum at uniform nodes x_j ~ x_0 + j h as one product.
 
     Each wave is sin(k x + phi), with phi = order pi/2 for a sine mode and
     (order + 1) pi/2 for a cosine mode. With x_(mB+r) ~ x_(mB) + r h, the
     addition theorem makes the sum over all J modes at the M whole blocks
-    of B points A @ W: A (M x 2J) holds c sin(k x_(mB) + phi) next to
-    c cos(k x_(mB) + phi), c = a k^order, and W (2J x B) holds cos(k r h)
-    on top of sin(k r h). The points after the last whole block are one
-    direct (tail x J) product.
+    of B points A @ W: A (M x 2J) holds c sin(k x_(mB) + phi) and
+    c cos(k x_(mB) + phi) of each mode, c = a k^order, and W (2J x B)
+    cos(k r h) and sin(k r h) in the matching rows. The points after the
+    last whole block are one direct (tail x J) product.
+
+    A mode whose (k, c) is exactly (conj k_i, conj c_i) of an earlier
+    complex mode i of the same family is folded into i, which then adds
+    2 Re of its term, so exact pairs leave no imaginary part, however large
+    their terms; a model of such pairs alone sums to a float array.
     """
-    modes = model.sine_modes + model.cosine_modes
-    k = np.array([k for k, _ in modes], dtype=complex)
-    c = np.array([a * k ** order for k, a in modes], dtype=complex)
-    phi = (order + (np.arange(k.size) >= len(model.sine_modes))) * PI / 2.0
+    k, c, phi, paired = [], [], [], []
+    for family, modes in enumerate((model.sine_modes, model.cosine_modes)):
+        unpaired = {}  # (k, c) -> index, complex modes still without a partner
+        for k_j, a in modes:
+            c_j = a * k_j ** order
+            if k_j.imag != 0.0:
+                if (i := unpaired.pop((k_j.conjugate(), c_j.conjugate()), None)) is not None:
+                    paired[i] = True
+                    continue
+                unpaired[(k_j, c_j)] = len(k)
+            k.append(k_j)
+            c.append(c_j)
+            phi.append((order + family) * PI / 2.0)
+            paired.append(False)
+    n = sum(paired)
+    pairs_first = sorted(range(len(k)), key=lambda i: not paired[i])
+    k = np.array([k[i] for i in pairs_first], dtype=complex)
+    c = np.array([c[i] * (2.0 if paired[i] else 1.0) for i in pairs_first], dtype=complex)
+    phi = np.array([phi[i] for i in pairs_first])
     whole = x.size // B * B
     start = np.multiply.outer(x[:whole:B], k) + phi
     step = np.multiply.outer(k, h * np.arange(B))
-    total = np.empty(x.size, dtype=complex)
-    np.matmul(np.hstack([c * np.sin(start), c * np.cos(start)]),
-              np.vstack([np.cos(step), np.sin(step)]), out=total[:whole].reshape(-1, B))
-    total[whole:] = np.sin(np.multiply.outer(x[whole:], k) + phi) @ c
+    # the columns of A run c sin, c cos of the first mode, then of the next:
+    # the n pairs fill the first 2n
+    A = np.stack([c * np.sin(start), c * np.cos(start)], axis=-1).reshape(len(start), -1)
+    W = np.stack([np.cos(step), np.sin(step)], axis=1).reshape(-1, B)
+    total = np.empty(x.size, dtype=float if 0 < n == k.size else complex)
+    np.matmul(*_fold_real(A, W, 2 * n), out=total[:whole].reshape(-1, B))
+    np.matmul(*_fold_real(np.sin(np.multiply.outer(x[whole:], k) + phi), c, n), out=total[whole:])
     return total
+
+
+def _fold_real(P, Q, n):
+    """Factors whose product is P @ Q with the terms of the first n columns of P cut to Re.
+
+    Those columns enter as the float pair (Re P, Im P) against
+    (Re Q, -Im Q), so they add exactly nothing to the imaginary part; the
+    factors are float when all columns of P are among them.
+    """
+    if n == 0:
+        return P, Q
+    P_, Q_ = [P.real[:, :n], P.imag[:, :n]], [Q.real[:n], -Q.imag[:n]]
+    if n < P.shape[1]:
+        P_.append(P[:, n:])
+        Q_.append(Q[n:])
+    return np.hstack(P_), np.concatenate(Q_)
 
 
 def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, step=None):
@@ -306,8 +345,10 @@ def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, step=None):
     of every mode at the block starts times cos and sin of k r h (r < B).
     One B serves all modes: isqrt(x.size), cut so that
     max|Im k| B h <= 1/2, which bounds how far the cancelling products
-    outgrow the waves; B <= 1 takes the direct rule. The product matches
-    the direct sum within about 16 eps sum |c| (1 + |k| pi) cosh(Im k pi).
+    outgrow the waves; B <= 1 takes the direct rule. As in the direct rule,
+    an exact conjugate pair leaves no imaginary part: the product adds 2 Re
+    of the first member's term. The product matches the direct sum within
+    about 16 eps sum |c| (1 + |k| pi) cosh(Im k pi).
     Any other x keeps the direct rule, bit for bit.
     """
     x = np.asarray(x, dtype=float)
@@ -319,11 +360,12 @@ def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, step=None):
         if im * B > 0.5:
             B = int(0.5 / im)
     total = _mode_product(model, x, order, step, B) if B > 1 else _mode_loop(model, x, order)
-    scale = 1.0 + np.max(np.abs(total.real)) if total.size else 1.0
-    max_imag = np.max(np.abs(total.imag)) if total.size else 0.0
-    if max_imag > REALNESS_TOL * scale:
-        raise RealnessViolation(
-            f"imaginary residual {max_imag:.3e} exceeds {REALNESS_TOL * scale:.3e}")
+    if np.iscomplexobj(total) and total.size:
+        scale = 1.0 + np.max(np.abs(total.real))
+        max_imag = np.max(np.abs(total.imag))
+        if max_imag > REALNESS_TOL * scale:
+            raise RealnessViolation(
+                f"imaginary residual {max_imag:.3e} exceeds {REALNESS_TOL * scale:.3e}")
     out = total.real
     return float(out) if out.ndim == 0 else out
 

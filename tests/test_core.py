@@ -367,9 +367,9 @@ class TestBlockwiseWaves:
     def test_blocked_waves_match_direct_waves(self, kind, N):
         # one real mode per model: a real k, an imaginary k with the
         # amplitude that makes its wave real, or a complex k with its
-        # conjugate partner (a lone complex mode is not real); each of its
-        # terms stays within 16 eps (1 + |k| pi) |k|^order max|wave| of the
-        # direct loop's
+        # conjugate partner (a lone complex mode is not real, so the product
+        # itself is checked on it); each of its terms stays within
+        # 16 eps (1 + |k| pi) |k|^order max|wave| of the direct loop's
         grid = make_grid(-PI, PI, N)
         x, h = grid.standard_nodes(), grid.standard_step
         rng = np.random.default_rng(N + len(kind))
@@ -390,6 +390,12 @@ class TestBlockwiseWaves:
                     bound = 16 * EPS * (1 + abs(k) * PI) * len(modes) * abs(k) ** order * max(
                         1.0, np.max(np.abs(wave(k * x + order * PI / 2.0))))
                     assert np.max(np.abs(got - want)) <= bound, (k, order, family)
+                    if kind in ("complex", "tiny"):
+                        # the lone mode, imaginary part and all, straight from the product
+                        B = min(math.isqrt(N), int(0.5 / (abs(k.imag) * h)))
+                        got = _mode_product(AperiodicModel(**{family: modes[:1]}), x, order, h, B)
+                        want = k ** order * wave(k * x + order * PI / 2.0)
+                        assert np.max(np.abs(got - want)) <= bound / 2, (k, order, family)
 
     def test_fitted_models_match_the_direct_loop(self):
         grid = make_grid(-PI, PI, 32768)
@@ -419,7 +425,10 @@ class TestBlockwiseWaves:
 
     @staticmethod
     def assert_matches_loop_to_mode_scale(model, grid, order):
-        """Blocked sum vs the direct loop, within 16 eps of sum |a k^order| (1+|k| pi) max|wave|."""
+        """Blocked sum vs the direct loop, within 16 eps of sum |a k^order| (1+|k| pi) max|wave|.
+
+        Returns that sum.
+        """
         x = grid.standard_nodes()
         want = loop_evaluate(model, x, order)
         with warnings.catch_warnings():
@@ -428,6 +437,7 @@ class TestBlockwiseWaves:
         scale = sum(abs(a * k ** order) * (1 + abs(k) * PI) * math.cosh(k.imag * PI)
                     for k, a in model.sine_modes + model.cosine_modes)
         assert np.max(np.abs(got - want)) <= 16 * EPS * max(1.0, scale), order
+        return scale
 
     @pytest.mark.parametrize("N", [4096, 32768])
     def test_cancelling_fit_matches_the_direct_loop(self, N):
@@ -448,6 +458,15 @@ class TestBlockwiseWaves:
         err = np.max(np.abs(gfs_derivative(dec).values - 3.0 * grid.nodes() ** 2))
         assert err <= 1e-4
 
+    @pytest.mark.parametrize("im", [5.0, 30.0, 100.0])
+    def test_cancelling_pair_stays_real(self, im):
+        # sin(i y x) + sin(-i y x) is exactly 0, and so are its derivatives:
+        # terms of size cosh(y pi) cancel, and nothing imaginary is left
+        model = AperiodicModel(sine_modes=((im * 1j, 1.0 + 0j), (-im * 1j, 1.0 + 0j)))
+        grid = make_grid(-PI, PI, 4096)
+        for order in range(4):
+            self.assert_matches_loop_to_mode_scale(model, grid, order)
+
     @staticmethod
     def draw_model(rng, h):
         """Real modes, exact conjugate pairs, unpaired complex modes and wide modes.
@@ -457,12 +476,19 @@ class TestBlockwiseWaves:
         modes are exact pairs whose |Im k| <= 220 cuts the block to 8 points
         or fewer, down to B <= 1 (to 11-17 points at N = 32768, where a
         shorter block needs a wave that overflows). Amplitudes carry
-        1/cosh(Im k pi), so every term stays O(1) on [-pi, pi].
+        1/cosh(Im k pi), so these terms stay O(1) on [-pi, pi]. Cancelling
+        pairs do not: an imaginary k, |Im k| <= 100, with an O(1) amplitude
+        whose two terms, of size up to cosh(100 pi), sum to 0.
         """
         families = ([], [])
         for _ in range(rng.integers(1, 7)):
             family = families[rng.integers(2)]
-            kind = rng.integers(4)
+            kind = rng.integers(5)
+            if kind == 4:
+                a = rng.uniform(-2, 2) * (1.0 if family is families[0] else 1j)
+                k = complex(0.0, rng.uniform(-100, 100))
+                family.extend([(k, a + 0j), (k.conjugate(), np.conj(a) + 0j)])
+                continue
             im = rng.uniform(min(0.0625 / h, 150.0), 220.0) if kind == 3 else rng.uniform(-40, 40)
             k = complex(rng.uniform(-40, 40), im)
             a = complex(*rng.uniform(-2, 2, 2)) / math.cosh(k.imag * PI)
@@ -483,10 +509,13 @@ class TestBlockwiseWaves:
         a = rng.uniform(-50, 50)
         grid = make_grid(a, a + rng.uniform(0.01, 100), N)
         model = self.draw_model(rng, grid.standard_step)
+        scale = 1.0
         for order in range(4):
-            self.assert_matches_loop_to_mode_scale(model, grid, order)
+            scale = max(scale, self.assert_matches_loop_to_mode_scale(model, grid, order))
+        # a pair broken at the size of the model's terms
         broken = AperiodicModel(
-            sine_modes=model.sine_modes + ((1.3 + 0.4j, 0.8 - 0.3j), (1.3 - 0.4j, 0.8 + 0.1j)),
+            sine_modes=model.sine_modes + ((1.3 + 0.4j, (0.8 - 0.3j) * scale),
+                                           (1.3 - 0.4j, (0.8 + 0.1j) * scale)),
             cosine_modes=model.cosine_modes)
         for order in range(4):
             with pytest.raises(RealnessViolation):
