@@ -205,16 +205,21 @@ def _fmt(v):
     return f"{v:.5e}"
 
 
-def emit_csv(report: ExperimentReport, path):
-    """Write the report; floats in scientific notation, 6 significant digits."""
+def format_csv(report: ExperimentReport):
+    """The report as CSV text; floats in scientific notation, 6 significant digits."""
     lines = ["method,function,N,param,jump_source,e_inf,e_2,wall_ms,note"]
     for r in report.rows:
         lines.append(",".join([
             r.method, r.function, str(r.N), r.param, r.jump_source,
             _fmt(r.e_inf), _fmt(r.e_2), _fmt(r.wall_ms), r.note]))
+    return "\n".join(lines) + "\n"
+
+
+def emit_csv(report: ExperimentReport, path):
+    """Write the report to the file at ``path`` as ``format_csv`` gives it."""
     try:
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(format_csv(report))
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 

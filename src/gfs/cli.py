@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from gfs.bench import ExperimentConfig, convergence_sweep, emit_csv, leakage_demo, run_experiment
+from gfs.bench import (ExperimentConfig, convergence_sweep, emit_csv, format_csv, leakage_demo,
+                       run_experiment)
 
 
 def _parse_param(text):
@@ -98,6 +99,14 @@ def _run_leakage(args):
         sys.stdout.write(text)
 
 
+def _emit(report, out):
+    """The report to the --out file, else appended to standard output as it stands."""
+    if out:
+        emit_csv(report, out)
+    else:
+        sys.stdout.write(format_csv(report))
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
@@ -109,11 +118,11 @@ def main(argv=None):
         cfg = _config_from_args(args)
         if args.sweep:
             report, slopes = convergence_sweep(cfg)
-            emit_csv(report, args.out or "/dev/stdout")
+            _emit(report, args.out)
             for method in sorted(slopes):
                 sys.stderr.write(f"slope {method}: {slopes[method]:.3f}\n")
         else:
-            emit_csv(run_experiment(cfg), args.out or "/dev/stdout")
+            _emit(run_experiment(cfg), args.out)
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -81,7 +81,7 @@ def solve_elementary_symmetric(jumps: JumpData, parity, n):
     # ones and the rank test misfires. Symmetric diagonal scaling by a
     # geometric estimate of that growth keeps the condition number tame and
     # leaves genuine rank deficiency (fewer actual modes than n) visible.
-    c = max(float(np.max(np.abs(J[:2 * n]))), 1.0) ** (1.0 / (2 * n - 1)) if n > 1 else 1.0
+    c = max(float(np.abs(J[:2 * n]).max()), 1.0) ** (1.0 / (2 * n - 1)) if n > 1 else 1.0
     powers = c ** -np.arange(2 * n, dtype=float)
     r = np.arange(n)
     H = (J[:2 * n] * powers)[np.add.outer(r, r)].astype(complex)
@@ -112,15 +112,14 @@ def modes_from_symmetric(e, n):
     # Ascending coefficients: coefficient of lambda^j is (-1)^(n-j) e_(n-j).
     coeffs = np.empty(n + 1, dtype=complex)
     coeffs[n] = 1.0
-    for j in range(n):
-        coeffs[j] = (-1.0) ** (n - j) * e[j]
+    coeffs[:n] = (-1.0) ** (n - np.arange(n)) * e
     lams = polynomial_roots(coeffs)
     n_distinct = count_distinct(lams)
     if n_distinct < n:
         raise DegenerateNodes(
             f"characteristic roots collapse to {n_distinct} distinct values",
             n_distinct=n_distinct)
-    return np.array([complex_principal_sqrt(lam) for lam in lams])
+    return complex_principal_sqrt(lams)
 
 
 def solve_mode_amplitudes(modes, jumps: JumpData, parity):
@@ -137,26 +136,25 @@ def solve_mode_amplitudes(modes, jumps: JumpData, parity):
     if J.size < n:
         raise ValueError("not enough jumps for the amplitude system")
     nodes = -(modes ** 2)  # (i k)^2
-    w = solve_transposed_vandermonde(nodes, J[:n].astype(complex))
-    amps = np.empty(n, dtype=complex)
-    for j, (k, wj) in enumerate(zip(modes, w)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = np.sin(k * PI)
-            den = 2.0 * s if parity == "even" else 2.0 * k * s
-        if not np.isfinite(den):
-            # |Im k| pi near or beyond ~710 overflows sin(k pi) or the
-            # denominator 2 sin(k pi) / 2 k sin(k pi); such a mode would also
-            # overflow at the ends of [-pi, pi], so drop it.
-            amps[j] = np.nan
-        elif abs(s) < NEAR_HARMONIC_TOL:
-            amps[j] = np.nan  # near-harmonic: no jump content, drop
-        elif parity == "even":
-            amps[j] = wj / (2.0 * s)
+    w = solve_transposed_vandermonde(nodes, J[:n])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.sin(modes * PI)
+        if parity == "even":
+            den = 2.0 * s
+            amps = w / den
         else:
-            if abs(k) < NEAR_HARMONIC_TOL:
-                amps[j] = np.nan  # k=0 cosine is a constant, periodic
-            else:
-                amps[j] = -wj / (2.0 * k * s)
+            # scalar products: numpy's array complex multiply may fuse
+            # (FMA) and round differently from the scalar one
+            den = np.array([2.0 * k * s_j for k, s_j in zip(modes, s)], dtype=complex)
+            amps = -w / den
+    # |Im k| pi near or beyond ~710 overflows sin(k pi) or the denominator
+    # 2 sin(k pi) / 2 k sin(k pi); such a mode would also overflow at the
+    # ends of [-pi, pi], so drop it. A near-harmonic mode carries no jump
+    # content, and the k=0 cosine is a constant, periodic: drop them too.
+    drop = ~np.isfinite(den) | (np.abs(s) < NEAR_HARMONIC_TOL)
+    if parity != "even":
+        drop |= np.abs(modes) < NEAR_HARMONIC_TOL
+    amps[drop] = np.nan
     return amps
 
 
@@ -199,7 +197,7 @@ def _build_family(jumps, parity, n):
     the amplitude Vandermonde cannot absorb.
     """
     J = _family_jumps(jumps, parity)
-    if np.max(np.abs(J[:2 * n])) <= EMPTY_FAMILY_TOL:
+    if np.abs(J[:2 * n]).max() <= EMPTY_FAMILY_TOL:
         return ()
     while n >= 1:
         e, rank = solve_elementary_symmetric(jumps, parity, n)

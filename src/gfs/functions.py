@@ -16,6 +16,13 @@ Arithmetic and np.sin/np.cos give the scalar bits on arrays. exp, log and
 powers go node by node through the libm scalars on arrays (``_exp``,
 ``_log``, ``_pow``): numpy's array exp, log and power round differently in
 the last bit at some nodes, and a fit that cancels can turn on that bit.
+
+``derivatives(x, q)`` gives all orders 0..q-1 at one float x, with the bits
+of the q scalar calls; the analytic jumps read it at x = +-pi. multimode,
+trig_poly and leakage_demo evaluate their closed form once for all orders
+there, order on a leading axis; gaussian and modulated_sine take the parts
+shared by all orders once; log_fn and monomial make one scalar call per
+order.
 """
 
 from __future__ import annotations
@@ -78,10 +85,22 @@ class TestFunction:
     name: str
     params: dict
     derivative: Callable[[float | np.ndarray, int], float | np.ndarray]
+    # The closed form of all orders 0..q-1 at one float x in one pass, where
+    # an entry has its own; derivatives() falls back to one call per order.
+    all_orders: Callable[[float, int], np.ndarray] | None = None
 
     def value(self, x):
         """u(x): derivative of order 0."""
         return self.derivative(x, 0)
+
+    def derivatives(self, x, q):
+        """u^(m)(x) for m = 0..q-1 at one float x, a float64 array.
+
+        Entry m has the bits of ``derivative(x, m)``.
+        """
+        if self.all_orders is not None:
+            return self.all_orders(x, q)
+        return np.array([self.derivative(x, m) for m in range(q)], dtype=float)
 
     def analytic_jump(self, order):
         """J_m = u^(m)(pi) - u^(m)(-pi)."""
@@ -97,6 +116,21 @@ def _cos_shifted(k, kx, order):
     return k ** order * np.cos(kx + order * PI / 2.0)
 
 
+def _shifted_orders(k, kx, q):
+    """_sin_shifted and _cos_shifted of every order 0..q-1, order on the leading axis.
+
+    Row m has the bits of the order-m call: k ** m is taken one order at a
+    time, as numpy's power with an array of exponents rounds differently
+    (a float64 exponent m gives the bits of the int one, with less dispatch).
+    """
+    orders = np.arange(q, dtype=float)
+    powers = np.empty((q, k.size))
+    for m in range(q):
+        powers[m] = k ** orders[m]
+    phase = kx + (orders * PI / 2.0)[:, np.newaxis]
+    return powers * np.sin(phase), powers * np.cos(phase)
+
+
 def modulated_sine(a=-1.0 / PI, b=0.75):
     """u = exp(a(x+pi)) sin(b(x+pi)); derivatives via Im[(a+ib)^m e^{(a+ib)(x+pi)}]."""
     c = complex(a, b)
@@ -104,8 +138,12 @@ def modulated_sine(a=-1.0 / PI, b=0.75):
     def deriv(x, order):
         return (c ** order * np.exp(c * (x + PI))).imag
 
+    def all_orders(x, q):
+        e = np.exp(c * (x + PI))
+        return np.array([(c ** m * e).imag for m in range(q)], dtype=float)
+
     return TestFunction(name="modulated_sine", params={"a": a, "b": b},
-                        derivative=_nodewise(deriv))
+                        derivative=_nodewise(deriv), all_orders=all_orders)
 
 
 @functools.cache
@@ -142,8 +180,20 @@ def gaussian(x0=3.0 * PI / 4.0, w=1.0):
         ht = sum(c * ts ** i for i, c in enumerate(_hermite_coeffs(order)))
         return (-1.0 / w) ** order * ht * _exp(-t * t)
 
+    def all_orders(x, q):
+        # deriv's scalar steps, with the powers of t and the exponential
+        # taken once for all orders
+        t = (x - x0) / w
+        powers = [t ** i for i in range(q)]
+        e = _exp(-t * t)
+        out = [deriv(x, 0)] if q else []
+        for m in range(1, q):
+            ht = sum(c * powers[i] for i, c in enumerate(_hermite_coeffs(m)))
+            out.append((-1.0 / w) ** m * ht * e)
+        return np.array(out, dtype=float)
+
     return TestFunction(name="gaussian", params={"x0": x0, "w": w},
-                        derivative=_nodewise(deriv))
+                        derivative=_nodewise(deriv), all_orders=all_orders)
 
 
 def log_fn():
@@ -175,8 +225,12 @@ def multimode(n_modes=30):
         kx = np.multiply.outer(x, ks)
         return np.sum(_sin_shifted(ks, kx, order) + _cos_shifted(ks, kx, order), axis=-1)
 
+    def all_orders(x, q):
+        sin, cos = _shifted_orders(ks, np.multiply.outer(x, ks), q)
+        return np.sum(sin + cos, axis=-1)
+
     return TestFunction(name="multimode", params={"n_modes": n_modes},
-                        derivative=_nodewise(deriv))
+                        derivative=_nodewise(deriv), all_orders=all_orders)
 
 
 def monomial(m=1):
@@ -199,8 +253,14 @@ def leakage_demo(k1=5.3, k2=12.4, a1=0.7, a2=1.0):
     def deriv(x, order):
         return a1 * _sin_shifted(k1, k1 * x, order) + a2 * _sin_shifted(k2, k2 * x, order)
 
+    def all_orders(x, q):
+        shift = np.arange(q) * PI / 2.0
+        p1 = np.array([k1 ** m for m in range(q)], dtype=float)
+        p2 = np.array([k2 ** m for m in range(q)], dtype=float)
+        return a1 * (p1 * np.sin(k1 * x + shift)) + a2 * (p2 * np.sin(k2 * x + shift))
+
     return TestFunction(name="leakage_demo", params={"k1": k1, "k2": k2, "a1": a1, "a2": a2},
-                        derivative=_nodewise(deriv))
+                        derivative=_nodewise(deriv), all_orders=all_orders)
 
 
 def trig_poly(seed=0, max_mode=5):
@@ -218,8 +278,15 @@ def trig_poly(seed=0, max_mode=5):
         return np.sum(a * _sin_shifted(modes, mx, order) + b * _cos_shifted(modes, mx, order),
                       axis=-1)
 
+    def all_orders(x, q):
+        sin, cos = _shifted_orders(modes, np.multiply.outer(x, modes), q)
+        out = np.sum(a * sin + b * cos, axis=-1)
+        if q:
+            out[0] = deriv(x, 0)  # order 0 adds c0 to unshifted waves
+        return out
+
     return TestFunction(name="trig_poly", params={"seed": int(seed), "max_mode": int(max_mode)},
-                        derivative=_nodewise(deriv))
+                        derivative=_nodewise(deriv), all_orders=all_orders)
 
 
 FUNCTION_CATALOG = {

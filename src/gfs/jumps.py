@@ -145,22 +145,19 @@ class JumpData:
 def jumps_from_analytic(f, q):
     """Exact jumps from the catalog's closed-form derivatives.
 
-    Each endpoint derivative is evaluated once per order; the jump is
-    u^(m)(pi) - u^(m)(-pi), as ``TestFunction.analytic_jump`` computes it.
-    Zero jumps are replaced by 1e-15 to keep the downstream Hankel systems
-    formally nonzero. A jump also counts as zero when it is pure floating
-    point cancellation between two large endpoint derivatives (a periodic
-    function evaluated near the seam never cancels exactly in doubles).
+    Each endpoint's derivatives of all orders come from one
+    ``f.derivatives`` call; the jump is u^(m)(pi) - u^(m)(-pi), as
+    ``TestFunction.analytic_jump`` computes it. Zero jumps are replaced by
+    1e-15 to keep the downstream Hankel systems formally nonzero. A jump
+    also counts as zero when it is pure floating point cancellation between
+    two large endpoint derivatives (a periodic function evaluated near the
+    seam never cancels exactly in doubles).
     """
-    J = np.empty(q)
-    for m in range(q):
-        hi = f.derivative(math.pi, m)
-        lo = f.derivative(-math.pi, m)
-        jm = hi - lo
-        scale = max(abs(lo), abs(hi))
-        if jm == 0.0 or abs(jm) <= 1e-12 * scale:
-            jm = ZERO_JUMP_REGULARIZATION
-        J[m] = jm
+    hi = f.derivatives(math.pi, q)
+    lo = f.derivatives(-math.pi, q)
+    J = hi - lo
+    scale = np.maximum(np.abs(lo), np.abs(hi))
+    J[(J == 0.0) | (np.abs(J) <= 1e-12 * scale)] = ZERO_JUMP_REGULARIZATION
     return JumpData(J=J, source="analytic")
 
 

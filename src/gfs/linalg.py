@@ -48,7 +48,7 @@ def solve_least_squares(A, b):
         return np.zeros(A.shape[1], dtype=complex), 0
     keep = s >= max(A.shape) * RANK_TOL_FACTOR * s[0]
     rank = int(np.count_nonzero(keep))
-    inv_s = np.zeros_like(s)
+    inv_s = np.zeros(s.size)
     inv_s[keep] = 1.0 / s[keep]
     x = Vh.conj().T @ (inv_s * (U.conj().T @ b))
     return x, rank
@@ -57,24 +57,43 @@ def solve_least_squares(A, b):
 def polynomial_roots(coeffs):
     """All roots (with multiplicity) of c_0 + c_1 x + ... + c_n x^n.
 
-    Uses the companion-matrix eigenvalue method (numpy.roots convention is
-    highest-first, so the input is reversed). Degree-0 input is rejected.
+    The roots of ``numpy.roots`` on the reversed (highest-first)
+    coefficients, computed as it does: the i vanishing low-order
+    coefficients c_0 .. c_(i-1) give i zero roots after the eigenvalues of
+    the companion matrix of the rest. Degree-0 input is rejected.
     """
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.size < 2:
         raise ValueError("polynomial degree must be >= 1")
     if c[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    roots = np.roots(c[::-1])
-    scale = np.max(np.abs(c))
-    # All roots are checked at once. numpy's array abs and power may round
-    # the last bit differently from scalar abs and pow, so a per-root scalar
-    # check could only disagree on a residual within an ulp of its bound.
-    residual = np.abs(np.polyval(c[::-1], roots))
+    p = c[::-1]
+    zeros = 0
+    while c[zeros] == 0:
+        zeros += 1
+    d = c.size - zeros - 1
+    if d:
+        companion = np.zeros((d, d), dtype=complex)
+        companion[0] = -p[1:d + 1] / p[0]
+        companion.flat[d::d + 1] = 1.0
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.empty(0, dtype=complex)
+    if zeros:
+        roots = np.concatenate([roots, np.zeros(zeros, dtype=complex)])
+    scale = np.abs(c).max()
+    # All roots are checked at once, by numpy.polyval's Horner steps. numpy's
+    # array abs and power may round the last bit differently from scalar abs
+    # and pow, so a per-root scalar check could only disagree on a residual
+    # within an ulp of its bound.
+    value = np.zeros(roots.size, dtype=complex)
+    for coefficient in p.tolist():
+        value = value * roots + coefficient
+    residual = np.abs(value)
     bound = ROOT_RESIDUAL_TOL * scale * np.maximum(1.0, np.abs(roots)) ** (c.size - 1)
-    bad = np.flatnonzero(residual > bound)
-    if bad.size:
-        i = bad[0]
+    bad = residual > bound
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise ArithmeticError(
             f"root {i} residual {residual[i]:.3e} exceeds bound {bound[i]:.3e}")
     return roots
@@ -113,24 +132,23 @@ def solve_transposed_vandermonde(nodes, rhs):
 
 def count_distinct(values):
     """Number of values left after merging those within DUPLICATE_NODE_TOL (relative)."""
-    values = np.asarray(values, dtype=complex).ravel()
     kept = []
-    for v in values:
+    for v in np.asarray(values, dtype=complex).ravel().tolist():
         if all(abs(v - u) / max(1.0, abs(v)) >= DUPLICATE_NODE_TOL for u in kept):
             kept.append(v)
     return len(kept)
 
 
 def complex_principal_sqrt(z):
-    """Principal complex square root, Re(w) >= 0.
+    """Principal complex square root, Re(w) >= 0, of a number or elementwise of an array.
 
     Branch: sqrt(|z|) * exp(i*theta/2) with theta in [-pi, pi]; values on
-    the negative real axis map to +i*sqrt(|z|).
+    the negative real axis map to +i*sqrt(|z|). A number gives a complex
+    scalar, an array a complex array of its shape.
     """
-    z = complex(z)
-    w = np.sqrt(complex(z))
+    w = np.sqrt(np.asarray(z, dtype=complex))
     # numpy already returns the principal branch; nudge exact-negative-real
     # results onto the +i axis for deterministic behavior.
-    if w.real < 0.0 or (w.real == 0.0 and w.imag < 0.0):
-        w = -w
-    return w
+    flip = (w.real < 0.0) | ((w.real == 0.0) & (w.imag < 0.0))
+    w = np.where(flip, -w, w)
+    return w[()] if w.ndim == 0 else w

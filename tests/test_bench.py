@@ -384,6 +384,19 @@ class TestCli:
         assert rc == 0
         assert "slope gfs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", [[], ["--N", "64", "--N", "128", "--sweep"]])
+    def test_no_out_writes_to_standard_output(self, sweep, capsys):
+        # without --out the table goes through sys.stdout, after whatever it
+        # already holds; reopening /dev/stdout for writing truncated a
+        # redirected file
+        print("earlier line")
+        rc = cli_main(["--function", "gaussian", "--method", "fft", "--N", "32"] + sweep)
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["earlier line", "method,function,N,param,jump_source,e_inf,e_2,wall_ms,note"]
+        assert [line.split(",")[:3] for line in lines[2:]] == \
+            [["fft", "gaussian", N] for N in (["32", "64", "128"] if sweep else ["32"])]
+
     def test_leakage_mode(self, tmp_path):
         out = tmp_path / "leak.csv"
         rc = cli_main(["leakage", "--N", "128", "--out", str(out)])

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfs.core import (
+    EMPTY_FAMILY_TOL,
+    NEAR_HARMONIC_TOL,
     REALNESS_TOL,
     AperiodicModel,
     RealnessViolation,
@@ -21,10 +23,11 @@ from gfs.core import (
     solve_elementary_symmetric,
     solve_mode_amplitudes,
 )
-from gfs.functions import get_function
+from gfs.functions import FUNCTION_CATALOG, get_function
 from gfs.grid import SampledSignal, make_grid, sample
-from gfs.jumps import JumpData, estimate_jumps, jumps_from_analytic
-from gfs.linalg import complex_principal_sqrt
+from gfs.jumps import JumpData, estimate_jumps, jumps_from_analytic, to_standard_jumps
+from gfs.linalg import (DUPLICATE_NODE_TOL, RANK_TOL_FACTOR, ROOT_RESIDUAL_TOL, DegenerateNodes,
+                        complex_principal_sqrt)
 
 PI = math.pi
 
@@ -214,6 +217,264 @@ class TestSmallNOracles:
         model = build_aperiodic_model(jumps, 3)
         kept = sorted((k.real, a.real) for k, a in model.sine_modes if abs(a) > 1e-8)
         np.testing.assert_allclose(kept, [(0.7, 2.5), (3.5, 2.5)], rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Inline copy of the earlier mode fit, which rooted through numpy.roots and
+# numpy.polyval, took one scalar square root and one scalar amplitude per
+# mode and compared roots as numpy scalars. build_aperiodic_model must
+# reproduce it bit for bit, and raise the same exception with the same
+# message where it raised.
+
+
+def _old_solve_least_squares(A, b):
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros(A.shape[1], dtype=complex), 0
+    keep = s >= max(A.shape) * RANK_TOL_FACTOR * s[0]
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    return Vh.conj().T @ (inv_s * (U.conj().T @ b)), int(np.count_nonzero(keep))
+
+
+def _old_polynomial_roots(c):
+    roots = np.roots(c[::-1])
+    residual = np.abs(np.polyval(c[::-1], roots))
+    bound = ROOT_RESIDUAL_TOL * np.max(np.abs(c)) * np.maximum(1.0, np.abs(roots)) ** (c.size - 1)
+    bad = np.flatnonzero(residual > bound)
+    if bad.size:
+        i = bad[0]
+        raise ArithmeticError(
+            f"root {i} residual {residual[i]:.3e} exceeds bound {bound[i]:.3e}")
+    return roots
+
+
+def _old_count_distinct(values):
+    kept = []
+    for v in values:
+        if all(abs(v - u) / max(1.0, abs(v)) >= DUPLICATE_NODE_TOL for u in kept):
+            kept.append(v)
+    return len(kept)
+
+
+def _old_principal_sqrt(z):
+    w = np.sqrt(complex(z))
+    if w.real < 0.0 or (w.real == 0.0 and w.imag < 0.0):
+        w = -w
+    return w
+
+
+def _old_modes(J, n):
+    c = max(float(np.max(np.abs(J[:2 * n]))), 1.0) ** (1.0 / (2 * n - 1)) if n > 1 else 1.0
+    powers = c ** -np.arange(2 * n, dtype=float)
+    r = np.arange(n)
+    H = (J[:2 * n] * powers)[np.add.outer(r, r)].astype(complex)
+    rhs = (J[n:2 * n] * powers[n:2 * n]).astype(complex)
+    x, rank = _old_solve_least_squares(H, -rhs)
+    if rank == 0:
+        return None
+    e = x * c ** (n - np.arange(n, dtype=float))
+    coeffs = np.empty(n + 1, dtype=complex)
+    coeffs[n] = 1.0
+    for j in range(n):
+        coeffs[j] = (-1.0) ** (n - j) * e[j]
+    lams = _old_polynomial_roots(coeffs)
+    n_distinct = _old_count_distinct(lams)
+    if n_distinct < n:
+        raise DegenerateNodes(
+            f"characteristic roots collapse to {n_distinct} distinct values",
+            n_distinct=n_distinct)
+    return np.array([_old_principal_sqrt(lam) for lam in lams])
+
+
+def _old_amplitudes(modes, J, parity):
+    n = modes.size
+    nodes = -(modes ** 2)
+    n_distinct = _old_count_distinct(nodes)
+    if n_distinct < n:
+        raise DegenerateNodes(f"only {n_distinct} of {n} nodes are distinct",
+                              n_distinct=n_distinct)
+    V = np.vander(nodes, n, increasing=True).T
+    try:
+        w = np.linalg.solve(V, J[:n].astype(complex))
+    except np.linalg.LinAlgError:
+        w, _ = _old_solve_least_squares(V, J[:n].astype(complex))
+    amps = np.empty(n, dtype=complex)
+    for j, (k, wj) in enumerate(zip(modes, w)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.sin(k * PI)
+            den = 2.0 * s if parity == "even" else 2.0 * k * s
+        if not np.isfinite(den) or abs(s) < NEAR_HARMONIC_TOL:
+            amps[j] = np.nan
+        elif parity == "even":
+            amps[j] = wj / (2.0 * s)
+        elif abs(k) < NEAR_HARMONIC_TOL:
+            amps[j] = np.nan
+        else:
+            amps[j] = -wj / (2.0 * k * s)
+    return amps
+
+
+def _old_pair_conjugates(modes, amps):
+    modes = modes.copy()
+    amps = amps.copy()
+    used = np.zeros(modes.size, dtype=bool)
+    for i in range(modes.size):
+        if used[i] or abs(modes[i].imag) < 1e-12 or abs(modes[i].real) < 1e-12:
+            continue
+        lam_i = modes[i] ** 2
+        for j in range(i + 1, modes.size):
+            if used[j]:
+                continue
+            lam_j = modes[j] ** 2
+            if abs(lam_j - np.conj(lam_i)) <= 1e-8 * max(1.0, abs(lam_i)):
+                modes[j] = np.conj(modes[i])
+                a = 0.5 * (amps[i] + np.conj(amps[j]))
+                amps[i] = a
+                amps[j] = np.conj(a)
+                used[i] = used[j] = True
+                break
+    return modes, amps
+
+
+def _old_family(J, parity, n):
+    if np.max(np.abs(J[:2 * n])) <= EMPTY_FAMILY_TOL:
+        return ()
+    while n >= 1:
+        try:
+            modes = _old_modes(J, n)
+            if modes is None:
+                return ()
+            amps = _old_amplitudes(modes, J, parity)
+        except DegenerateNodes as exc:
+            if exc.n_distinct is None or exc.n_distinct >= n:
+                raise
+            n = exc.n_distinct
+            continue
+        keep = ~np.isnan(amps)
+        modes, amps = _old_pair_conjugates(modes[keep], amps[keep])
+        return tuple(zip(modes, amps))
+    return ()
+
+
+def _old_build_aperiodic_model(jumps, n):
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"mode count n must be >= 1, got {n}")
+    if jumps.q < 4 * n:
+        raise ValueError(f"need q = 4n = {4 * n} jumps, have {jumps.q}")
+    return AperiodicModel(sine_modes=_old_family(jumps.J[0::2], "even", n),
+                          cosine_modes=_old_family(jumps.J[1::2], "odd", n))
+
+
+def fit_outcome(fit, jumps, n):
+    """Every (k, a) of both families as bytes, or the exception's type and message."""
+    try:
+        model = fit(jumps, n)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(tuple((type(k), type(a), np.complex128(k).tobytes(), np.complex128(a).tobytes())
+                       for k, a in family)
+                 for family in (model.sine_modes, model.cosine_modes))
+
+
+def assert_same_fit(jumps, n):
+    assert fit_outcome(build_aperiodic_model, jumps, n) == \
+        fit_outcome(_old_build_aperiodic_model, jumps, n), (jumps.J.tolist(), n)
+
+
+def draw_catalog_params(name, rng):
+    if name == "gaussian":
+        return {"x0": rng.uniform(0.5 * PI, 0.9 * PI), "w": rng.uniform(0.8, 1.2)}
+    if name == "modulated_sine":
+        return {"a": rng.uniform(-0.5, -0.2), "b": rng.uniform(0.5, 1.0)}
+    if name == "leakage_demo":
+        return {"k1": rng.uniform(5.0, 5.6), "k2": rng.uniform(12.1, 12.7),
+                "a1": rng.uniform(0.5, 0.9), "a2": rng.uniform(0.8, 1.2)}
+    if name == "multimode":
+        return {"n_modes": int(rng.integers(2, 31))}
+    if name == "trig_poly":
+        return {"seed": int(rng.integers(0, 2 ** 31)), "max_mode": int(rng.integers(3, 8))}
+    if name == "monomial":
+        return {"m": int(rng.integers(1, 6))}
+    return {}
+
+
+def double_root_jumps(lam_even, lam_odd, n):
+    """Jumps J_m = (m + 1) lam^m of each family: a double characteristic root."""
+    J = np.empty(4 * n)
+    m = np.arange(2 * n)
+    J[0::2] = (m + 1) * lam_even ** m
+    J[1::2] = 0.5 * (m + 1) * lam_odd ** m
+    return JumpData(J=J, source="analytic")
+
+
+HAND_BUILT_JUMPS = {
+    # collapsing characteristic roots: both families shrink, n -> n-1 -> ...
+    "double_root_n2": (double_root_jumps(-0.3, -0.33, 2), 2),
+    "double_root_n3": (double_root_jumps(-0.3, -0.33, 3), 3),
+    # a zero Hankel matrix under a nonzero right-hand side: rank 0
+    "rank_zero": (JumpData(J=np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0, -2.0]),
+                           source="analytic"), 2),
+    # the sine family below EMPTY_FAMILY_TOL, the cosine family not
+    "empty_sine_family": (JumpData(J=np.array([1e-14, 0.3, -1e-14, -0.2, 5e-14, 0.4,
+                                               1e-15, -0.1]), source="analytic"), 2),
+    "all_regularized": (JumpData(J=np.full(12, 1e-15), source="analytic"), 3),
+    "too_few_jumps": (JumpData(J=np.ones(6), source="analytic"), 2),
+    "no_modes": (JumpData(J=np.ones(8), source="analytic"), 0),
+}
+
+
+class TestFitSameBitsAsBefore:
+    def test_analytic_jumps(self):
+        rng = np.random.default_rng(20)
+        for name in sorted(FUNCTION_CATALOG):
+            for draw in range(6):
+                f = get_function(name, **(draw_catalog_params(name, rng) if draw else {}))
+                for n in (1, 2, 3, 4):
+                    assert_same_fit(jumps_from_analytic(f, 4 * n), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_estimated_jumps_on_drawn_intervals(self, n):
+        rng = np.random.default_rng(n)
+        width = 4 * n + 5
+        for name in sorted(FUNCTION_CATALOG):
+            for N in (2 * width, 64, 257):
+                a = rng.uniform(-3.0, -2.0)  # log_fn needs x > -pi - 1/2
+                grid = make_grid(a, a + rng.uniform(4.0, 6.0), N)
+                f = get_function(name, **draw_catalog_params(name, rng))
+                jumps = to_standard_jumps(estimate_jumps(sample(f, grid), 4 * n, 6), grid)
+                assert_same_fit(jumps, n)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT_JUMPS))
+    def test_hand_built_jumps(self, name):
+        assert_same_fit(*HAND_BUILT_JUMPS[name])
+
+    def test_hand_built_jumps_reach_their_branch(self, monkeypatch):
+        # the double roots make both families retry with a smaller n; the
+        # zero Hankel matrices end both families at rank 0
+        import gfs.core
+        solves = []
+
+        def recording(jumps, parity, n):
+            e, rank = solve_elementary_symmetric(jumps, parity, n)
+            solves.append((parity, n, rank))
+            return e, rank
+
+        monkeypatch.setattr(gfs.core, "solve_elementary_symmetric", recording)
+        build_aperiodic_model(*HAND_BUILT_JUMPS["double_root_n3"])
+        assert {(p, n) for p, n, _ in solves} >= {("even", 3), ("even", 2), ("odd", 3), ("odd", 2)}
+        solves.clear()
+        assert build_aperiodic_model(*HAND_BUILT_JUMPS["rank_zero"]).empty
+        assert solves == [("even", 2, 0), ("odd", 2, 0)]
+
+    def test_random_jumps(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            J = rng.standard_normal(4 * n) * rng.uniform(0.05, 40.0) ** np.arange(4 * n)
+            J[rng.integers(0, 4 * n, int(rng.integers(0, 3)))] = 0.0
+            assert_same_fit(JumpData(J=J, source="analytic"), n)
 
 
 def loop_evaluate(model, x, order):

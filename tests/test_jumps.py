@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfs.functions import FUNCTION_CATALOG, get_function
+from gfs.functions import DERIVATIVE_ORDER_MAX, FUNCTION_CATALOG, get_function
 from gfs.grid import make_grid, sample
 from gfs.jumps import (
     GridTooSmall,
@@ -319,10 +319,20 @@ def _clear_stencil_caches():
 
 
 class TestSameBitsAsBefore:
-    @pytest.mark.parametrize("q", [1, 2, 7, 12, 16, 24])
+    @pytest.mark.parametrize("q", [1, 2, 7, 12, 16, 24, DERIVATIVE_ORDER_MAX + 1])
     def test_analytic_jumps(self, q):
         for f in _catalog_functions(1):
             assert_same_bits(jumps_from_analytic(f, q).J, _old_jumps_from_analytic(f, q))
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(FUNCTION_CATALOG)), seed=st.integers(0, 2 ** 32 - 1),
+           x=st.one_of(st.sampled_from([PI, -PI]), st.floats(-PI, PI)),
+           q=st.integers(0, DERIVATIVE_ORDER_MAX + 1))
+    def test_all_orders_have_the_bits_of_one_order(self, name, seed, x, q):
+        f = get_function(name, **_drawn_params(name, np.random.default_rng(seed)))
+        got = f.derivatives(x, q)
+        assert got.dtype == np.float64
+        assert_same_bits(got, [f.derivative(x, m) for m in range(q)])
 
     def _signals(self, width, seed):
         # zero, random and catalog samples on drawn intervals; the first

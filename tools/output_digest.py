@@ -1,0 +1,89 @@
+"""SHA-256 of every benchmark op's output, one digest per workload.
+
+    python3 tools/output_digest.py --workload fit_bound --seed 1 7 90210
+    python3 tools/output_digest.py --seed 1 2 3        # every workload
+
+For each seed, the workload's pool is built, prepared and run once, op by
+op, through ``perfbench/workloads.py`` (``make_cases``, ``prepare``,
+``run_op``) and this checkout's ``src/``; nothing is timed or written.
+Into the digest go, in pool order:
+
+- an array output: its float64 bytes;
+- an error-table row list: each row's method, e_inf, e_2 and note (not its
+  wall time);
+- an op that raises: the exception's type name and message.
+
+Two checkouts whose digests match gave the same bits on every op, so a
+change meant to keep every output can be shown to do so.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import struct
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def import_workloads():
+    """perfbench's workloads module, with gfs imported from this checkout's src/."""
+    if PERFBENCH not in sys.path:
+        sys.path.insert(0, PERFBENCH)
+    import run
+    run.import_gfs()
+    import workloads
+    return workloads
+
+
+def update(digest, out):
+    """Feed one op's output (array, error-table rows or exception) to the digest."""
+    if isinstance(out, BaseException):
+        digest.update(b"raise\0" + type(out).__name__.encode() + b"\0" + str(out).encode())
+    elif isinstance(out, np.ndarray):
+        digest.update(b"array\0" + np.ascontiguousarray(out, dtype="<f8").tobytes())
+    else:
+        for row in out:
+            digest.update(b"row\0" + row.method.encode() + b"\0"
+                          + struct.pack("<dd", row.e_inf, row.e_2) + row.note.encode() + b"\0")
+
+
+def workload_digest(name, seeds, workloads=None):
+    """Hex SHA-256 over every op of workload ``name`` at each seed, in order."""
+    workloads = workloads or import_workloads()
+    digest = hashlib.sha256()
+    for seed in seeds:
+        digest.update(f"seed {seed}\0".encode())
+        cases, _ = workloads.make_cases(workloads.WORKLOADS[name], seed)
+        for case in cases:
+            workloads.prepare(case)
+            try:
+                out = workloads.run_op(case)
+            except Exception as exc:  # part of the output: type and message
+                out = exc
+            update(digest, out)
+    return digest.hexdigest()
+
+
+def main(argv=None):
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = [spec["name"] for spec in json.load(fh)["workloads"]]
+    ap = argparse.ArgumentParser(description="one SHA-256 of all op outputs per workload")
+    ap.add_argument("--workload", action="append", choices=names,
+                    help="workload to digest (repeatable; default: every workload)")
+    ap.add_argument("--seed", type=int, nargs="+", required=True)
+    args = ap.parse_args(argv)
+    workloads = import_workloads()
+    for name in args.workload or names:
+        print(f"{name} {workload_digest(name, args.seed, workloads)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
