@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from gfs.bench import (ExperimentConfig, convergence_sweep, emit_csv, format_csv, leakage_demo,
-                       run_experiment)
+from gfs.bench import (ExperimentConfig, convergence_sweep, format_csv, leakage_demo, run_experiment,
+                       write_report)
 
 
 def _parse_param(text):
@@ -78,7 +78,7 @@ def _config_from_args(args):
     )
 
 
-def _run_leakage(args):
+def _leakage_text(args):
     N = args.N[0] if args.N else 128
     rep = leakage_demo(N, **dict(_parse_param(s) for s in args.param))
     lines = ["quantity,index,value"]
@@ -91,38 +91,33 @@ def _run_leakage(args):
         lines.append(f"raw_spectrum,{i},{v:.5e}")
     for i, v in enumerate(rep.periodic_spectrum):
         lines.append(f"periodic_spectrum,{i},{v:.5e}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    return "\n".join(lines) + "\n"
+
+
+def _emit(text, out):
+    """The text to the --out file, else appended to standard output as it stands."""
+    if out:
+        write_report(text, out)
     else:
         sys.stdout.write(text)
-
-
-def _emit(report, out):
-    """The report to the --out file, else appended to standard output as it stands."""
-    if out:
-        emit_csv(report, out)
-    else:
-        sys.stdout.write(format_csv(report))
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.mode == "leakage":
-            _run_leakage(args)
+            _emit(_leakage_text(args), args.out)
             return 0
         if not args.function:
             raise ValueError("--function is required")
         cfg = _config_from_args(args)
         if args.sweep:
             report, slopes = convergence_sweep(cfg)
-            _emit(report, args.out)
+            _emit(format_csv(report), args.out)
             for method in sorted(slopes):
                 sys.stderr.write(f"slope {method}: {slopes[method]:.3f}\n")
         else:
-            _emit(run_experiment(cfg), args.out)
+            _emit(format_csv(run_experiment(cfg)), args.out)
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,28 +1,22 @@
 """Catalog of benchmark functions on [-pi, pi] with exact high-order derivatives.
 
-Each entry supplies one closed form, derivative(x, m) for m up to
-DERIVATIVE_ORDER_MAX; value(x) is derivative(x, 0) and the endpoint jump
-J_m = u^(m)(pi) - u^(m)(-pi) is taken from it. Closed forms matter: jump
-orders up to 4n-1 = 23 appear in the experiments and a symbolic or
-finite-difference fallback would dominate the error budget.
+Each entry is one closed form, ``formula(x, orders)``: u^(m)(x) for each m in
+the tuple ``orders``, order on the leading axis, at a float x or a float64
+array of nodes. Closed forms matter: jump orders up to 4n-1 = 23 appear in
+the experiments and a symbolic or finite-difference fallback would dominate
+the error budget. ``derivative(x, m)`` gives a Python float for a float x and
+float64 of x's shape for an array (``grid.sample`` makes one such call per
+grid); ``derivatives(x, q)`` gives the orders 0..q-1 at one float x from one
+formula call (the analytic jumps read it at x = +-pi).
 
-``derivative`` takes a float and returns a Python float, or takes a float64
-array of nodes and returns float64 of the same shape; ``grid.sample`` makes
-one such call per grid. Samples and scalar derivatives keep per-node bits:
-every sample, and every array derivative except modulated_sine's at m >= 1
-(a complex product, within an ulp), has the bits of the scalar call at its
-node, so J_0 is the difference of the end samples of a [-pi, pi] grid.
-Arithmetic and np.sin/np.cos give the scalar bits on arrays. exp, log and
-powers go node by node through the libm scalars on arrays (``_exp``,
-``_log``, ``_pow``): numpy's array exp, log and power round differently in
-the last bit at some nodes, and a fit that cancels can turn on that bit.
-
-``derivatives(x, q)`` gives all orders 0..q-1 at one float x, with the bits
-of the q scalar calls; the analytic jumps read it at x = +-pi. multimode,
-trig_poly and leakage_demo evaluate their closed form once for all orders
-there, order on a leading axis; gaussian and modulated_sine take the parts
-shared by all orders once; log_fn and monomial make one scalar call per
-order.
+Row m of a formula call does not depend on the other orders asked for, and
+every sample and every array derivative, except modulated_sine's at m >= 1 (a
+complex product, within an ulp), has the bits of the scalar call at its node,
+so J_0 is the difference of the end samples of a [-pi, pi] grid. Arithmetic
+and np.sin/np.cos give the scalar bits on arrays. exp, log and powers go node
+by node through the libm scalars on arrays (``_exp``, ``_log``, ``_pow``):
+numpy's array exp, log and power round differently in the last bit at some
+nodes, and a fit that cancels can turn on that bit.
 """
 
 from __future__ import annotations
@@ -30,6 +24,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +41,7 @@ _pow_nodes = np.frompyfunc(math.pow, 2, 1)
 
 
 # math.exp, math.log and math.pow on a float; applied node by node on an
-# array (object array out, which _nodewise turns back into float64).
+# array (object array out, which the formula turns back into float64).
 def _exp(x):
     return _exp_nodes(x) if isinstance(x, np.ndarray) else math.exp(x)
 
@@ -64,30 +59,23 @@ def _pow(x, y):
 NODE_BLOCK = 4096
 
 
-def _nodewise(formula):
-    """derivative(x, order) from one closed form: a Python float for a scalar
-    x, else float64 of x's shape, computed in blocks of NODE_BLOCK nodes."""
-
-    def derivative(x, order):
-        if not isinstance(x, np.ndarray):
-            return float(formula(x, order))
-        out = np.empty(x.shape)
-        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-        for i in range(0, flat_x.size, NODE_BLOCK):
-            flat_out[i:i + NODE_BLOCK] = formula(flat_x[i:i + NODE_BLOCK], order)
-        return out
-
-    return derivative
-
-
 @dataclass(frozen=True)
 class TestFunction:
     name: str
     params: dict
-    derivative: Callable[[float | np.ndarray, int], float | np.ndarray]
-    # The closed form of all orders 0..q-1 at one float x in one pass, where
-    # an entry has its own; derivatives() falls back to one call per order.
-    all_orders: Callable[[float, int], np.ndarray] | None = None
+    # u^(m)(x) for each m in a tuple of orders, order on the leading axis
+    formula: Callable[[float | np.ndarray, tuple], np.ndarray]
+
+    def derivative(self, x, order):
+        """u^(order)(x): a Python float for a scalar x, else float64 of x's
+        shape, computed in blocks of NODE_BLOCK nodes."""
+        if not isinstance(x, np.ndarray):
+            return float(self.formula(x, (order,))[0])
+        out = np.empty(x.shape)
+        flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+        for i in range(0, flat_x.size, NODE_BLOCK):
+            flat_out[i:i + NODE_BLOCK] = self.formula(flat_x[i:i + NODE_BLOCK], (order,))[0]
+        return out
 
     def value(self, x):
         """u(x): derivative of order 0."""
@@ -98,52 +86,44 @@ class TestFunction:
 
         Entry m has the bits of ``derivative(x, m)``.
         """
-        if self.all_orders is not None:
-            return self.all_orders(x, q)
-        return np.array([self.derivative(x, m) for m in range(q)], dtype=float)
+        return self.formula(x, tuple(range(q)))
 
     def analytic_jump(self, order):
         """J_m = u^(m)(pi) - u^(m)(-pi)."""
         return self.derivative(PI, order) - self.derivative(-PI, order)
 
 
-def _sin_shifted(k, kx, order):
-    """d^m/dx^m sin(k x) = k^m sin(k x + m pi/2), given kx = k x."""
-    return k ** order * np.sin(kx + order * PI / 2.0)
+def _shifted(k, kx, orders):
+    """k^m and the phase k x + m pi/2 for each m in orders, order on the
+    leading axis, given kx = k x: d^m/dx^m sin(k x) is k^m sin(phase), and
+    likewise for cos. k is a scalar or an array of wavenumbers; the powers
+    get a length-1 axis for each axis of x.
 
-
-def _cos_shifted(k, kx, order):
-    return k ** order * np.cos(kx + order * PI / 2.0)
-
-
-def _shifted_orders(k, kx, q):
-    """_sin_shifted and _cos_shifted of every order 0..q-1, order on the leading axis.
-
-    Row m has the bits of the order-m call: k ** m is taken one order at a
-    time, as numpy's power with an array of exponents rounds differently
-    (a float64 exponent m gives the bits of the int one, with less dispatch).
+    k ** m is taken one order at a time, as numpy's power with an array of
+    exponents rounds differently: an array k with a float m (the int m's
+    bits, less dispatch), a scalar k with the int m (an int k stays exact).
+    Halving is exact, so m (pi/2) has the bits of m pi / 2.
     """
-    orders = np.arange(q, dtype=float)
-    powers = np.empty((q, k.size))
-    for m in range(q):
-        powers[m] = k ** orders[m]
-    phase = kx + (orders * PI / 2.0)[:, np.newaxis]
-    return powers * np.sin(phase), powers * np.cos(phase)
+    if isinstance(k, np.ndarray):
+        powers = np.array([k ** float(m) for m in orders])
+    else:
+        powers = np.array([k ** m for m in orders], dtype=float)
+    phase = np.add.outer(np.multiply(orders, PI / 2.0), kx)
+    if phase.ndim > powers.ndim:
+        x_axes = (1,) * (phase.ndim - powers.ndim)
+        powers = powers.reshape(powers.shape[:1] + x_axes + powers.shape[1:])
+    return powers, phase
 
 
 def modulated_sine(a=-1.0 / PI, b=0.75):
     """u = exp(a(x+pi)) sin(b(x+pi)); derivatives via Im[(a+ib)^m e^{(a+ib)(x+pi)}]."""
     c = complex(a, b)
 
-    def deriv(x, order):
-        return (c ** order * np.exp(c * (x + PI))).imag
-
-    def all_orders(x, q):
+    def formula(x, orders):
         e = np.exp(c * (x + PI))
-        return np.array([(c ** m * e).imag for m in range(q)], dtype=float)
+        return np.array([(c ** m * e).imag for m in orders], dtype=float)
 
-    return TestFunction(name="modulated_sine", params={"a": a, "b": b},
-                        derivative=_nodewise(deriv), all_orders=all_orders)
+    return TestFunction(name="modulated_sine", params={"a": a, "b": b}, formula=formula)
 
 
 @functools.cache
@@ -170,41 +150,37 @@ def gaussian(x0=3.0 * PI / 4.0, w=1.0):
     if w == 0:
         raise ValueError(f"gaussian needs w != 0, got {w}")
 
-    def deriv(x, order):
+    def formula(x, orders):
         t = (x - x0) / w
-        if order == 0:
-            return _exp(-_pow(t, 2))
-        # On an array, Python's ** node by node (an object array): numpy's
-        # array power rounds differently, and the Hermite sum magnifies it.
-        ts = t.astype(object) if isinstance(t, np.ndarray) else t
-        ht = sum(c * ts ** i for i, c in enumerate(_hermite_coeffs(order)))
-        return (-1.0 / w) ** order * ht * _exp(-t * t)
+        if any(orders):
+            # The powers of t and exp(-t t), shared by all orders >= 1 and
+            # skipped for a sample (order 0 alone). On an array, Python's **
+            # node by node (an object array): numpy's array power rounds
+            # differently, and the Hermite sum magnifies it.
+            ts = t.astype(object) if isinstance(t, np.ndarray) else t
+            powers = [ts ** i for i in range(max(orders) + 1)]
+            e = _exp(-t * t)
+        rows = []
+        for m in orders:
+            if m:
+                ht = sum(map(operator.mul, _hermite_coeffs(m), powers))
+                rows.append((-1.0 / w) ** m * ht * e)
+            else:
+                rows.append(_exp(-_pow(t, 2)))
+        return np.array(rows, dtype=float)
 
-    def all_orders(x, q):
-        # deriv's scalar steps, with the powers of t and the exponential
-        # taken once for all orders
-        t = (x - x0) / w
-        powers = [t ** i for i in range(q)]
-        e = _exp(-t * t)
-        out = [deriv(x, 0)] if q else []
-        for m in range(1, q):
-            ht = sum(c * powers[i] for i, c in enumerate(_hermite_coeffs(m)))
-            out.append((-1.0 / w) ** m * ht * e)
-        return np.array(out, dtype=float)
-
-    return TestFunction(name="gaussian", params={"x0": x0, "w": w},
-                        derivative=_nodewise(deriv), all_orders=all_orders)
+    return TestFunction(name="gaussian", params={"x0": x0, "w": w}, formula=formula)
 
 
 def log_fn():
     """u = log(x + pi + 1/2); m-th derivative (-1)^(m-1) (m-1)! / (x+pi+1/2)^m."""
 
-    def deriv(x, order):
-        if order == 0:
-            return _log(x + PI + 0.5)
-        return (-1.0) ** (order - 1) * math.factorial(order - 1) / _pow(x + PI + 0.5, order)
+    def formula(x, orders):
+        y = x + PI + 0.5
+        return np.array([(-1.0) ** (m - 1) * math.factorial(m - 1) / _pow(y, m) if m else _log(y)
+                         for m in orders], dtype=float)
 
-    return TestFunction(name="log_fn", params={}, derivative=_nodewise(deriv))
+    return TestFunction(name="log_fn", params={}, formula=formula)
 
 
 def multimode_wavenumbers(n_modes):
@@ -220,17 +196,12 @@ def multimode(n_modes=30):
         raise ValueError(f"multimode needs n_modes >= 2, got {n_modes}")
     ks = multimode_wavenumbers(n_modes)
 
-    def deriv(x, order):
+    def formula(x, orders):
         # One row of k_j x per node, summed along the row as np.sum sums ks * x.
-        kx = np.multiply.outer(x, ks)
-        return np.sum(_sin_shifted(ks, kx, order) + _cos_shifted(ks, kx, order), axis=-1)
+        powers, phase = _shifted(ks, np.multiply.outer(x, ks), orders)
+        return np.sum(powers * np.sin(phase) + powers * np.cos(phase), axis=-1)
 
-    def all_orders(x, q):
-        sin, cos = _shifted_orders(ks, np.multiply.outer(x, ks), q)
-        return np.sum(sin + cos, axis=-1)
-
-    return TestFunction(name="multimode", params={"n_modes": n_modes},
-                        derivative=_nodewise(deriv), all_orders=all_orders)
+    return TestFunction(name="multimode", params={"n_modes": n_modes}, formula=formula)
 
 
 def monomial(m=1):
@@ -239,28 +210,24 @@ def monomial(m=1):
     if m < 0:
         raise ValueError(f"monomial needs m >= 0, got {m}")
 
-    def deriv(x, order):
-        if order > m:
-            return 0.0
-        return math.factorial(m) / math.factorial(m - order) * _pow(x, m - order)
+    def formula(x, orders):
+        zero = np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
+        return np.array([math.factorial(m) / math.factorial(m - order) * _pow(x, m - order)
+                         if order <= m else zero for order in orders], dtype=float)
 
-    return TestFunction(name="monomial", params={"m": m}, derivative=_nodewise(deriv))
+    return TestFunction(name="monomial", params={"m": m}, formula=formula)
 
 
 def leakage_demo(k1=5.3, k2=12.4, a1=0.7, a2=1.0):
     """u = a1 sin(k1 x) + a2 sin(k2 x) with non-integer wavenumbers."""
 
-    def deriv(x, order):
-        return a1 * _sin_shifted(k1, k1 * x, order) + a2 * _sin_shifted(k2, k2 * x, order)
-
-    def all_orders(x, q):
-        shift = np.arange(q) * PI / 2.0
-        p1 = np.array([k1 ** m for m in range(q)], dtype=float)
-        p2 = np.array([k2 ** m for m in range(q)], dtype=float)
-        return a1 * (p1 * np.sin(k1 * x + shift)) + a2 * (p2 * np.sin(k2 * x + shift))
+    def formula(x, orders):
+        p1, phase1 = _shifted(k1, k1 * x, orders)
+        p2, phase2 = _shifted(k2, k2 * x, orders)
+        return a1 * (p1 * np.sin(phase1)) + a2 * (p2 * np.sin(phase2))
 
     return TestFunction(name="leakage_demo", params={"k1": k1, "k2": k2, "a1": a1, "a2": a2},
-                        derivative=_nodewise(deriv), all_orders=all_orders)
+                        formula=formula)
 
 
 def trig_poly(seed=0, max_mode=5):
@@ -271,22 +238,17 @@ def trig_poly(seed=0, max_mode=5):
     b = rng.uniform(-1.0, 1.0, modes.size)
     c0 = float(rng.uniform(-1.0, 1.0))
 
-    def deriv(x, order):
-        mx = np.multiply.outer(x, modes)
-        if order == 0:
-            return c0 + np.sum(a * np.sin(mx) + b * np.cos(mx), axis=-1)
-        return np.sum(a * _sin_shifted(modes, mx, order) + b * _cos_shifted(modes, mx, order),
-                      axis=-1)
-
-    def all_orders(x, q):
-        sin, cos = _shifted_orders(modes, np.multiply.outer(x, modes), q)
-        out = np.sum(a * sin + b * cos, axis=-1)
-        if q:
-            out[0] = deriv(x, 0)  # order 0 adds c0 to unshifted waves
+    def formula(x, orders):
+        powers, phase = _shifted(modes, np.multiply.outer(x, modes), orders)
+        out = np.sum(a * (powers * np.sin(phase)) + b * (powers * np.cos(phase)), axis=-1)
+        # order 0 adds c0; its power is 1.0 and its shift +0.0, so its waves are exact
+        for i, m in enumerate(orders):
+            if m == 0:
+                out[i] += c0
         return out
 
     return TestFunction(name="trig_poly", params={"seed": int(seed), "max_mode": int(max_mode)},
-                        derivative=_nodewise(deriv), all_orders=all_orders)
+                        formula=formula)
 
 
 FUNCTION_CATALOG = {

@@ -18,6 +18,7 @@ from gfs.bench import (
     resolve_prony_M,
     run_experiment,
 )
+from gfs.baselines import bernoulli_coefficients
 from gfs.cli import main as cli_main
 from gfs.jumps import _fornberg_table, jump_stencils
 from gfs.linalg import DegenerateNodes
@@ -230,6 +231,24 @@ def test_fd_stencils_are_built_before_the_first_timed_window(monkeypatch):
     assert sizes[-1] == sizes[0]
 
 
+def test_bernoulli_coefficients_are_built_before_the_first_timed_window(monkeypatch):
+    # eckhoff's first row must not carry the one-off exact construction of
+    # B_1..B_q
+    bernoulli_coefficients.cache_clear()
+    sizes = []
+    clock = time.perf_counter
+
+    def recording_clock():
+        sizes.append(bernoulli_coefficients.cache_info().currsize)
+        return clock()
+
+    monkeypatch.setattr(time, "perf_counter", recording_clock)
+    run_experiment(ExperimentConfig(function="gaussian", methods=("eckhoff",),
+                                    N_list=(32, 33), q=12))
+    assert sizes and sizes[0] == 12
+    assert sizes[-1] == sizes[0]
+
+
 class TestLeakageDemo:
     def test_mode_recovery(self):
         rep = leakage_demo(128)
@@ -357,6 +376,21 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {name} must be >= 1, got {count}\n"
 
+    def test_eckhoff_q_above_the_bernoulli_limit_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # B_1..B_q must exist: q = 33 runs, q = 34 is rejected before sampling
+        out = tmp_path / "eckhoff.csv"
+        argv = ["--function", "gaussian", "--method", "eckhoff", "--N", "32"]
+        assert cli_main(argv + ["--q", "33", "--out", str(out)]) == 0
+        assert [(r[0], r[3], r[8]) for r in read_rows(out)] == [("eckhoff", "33", "")]
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before the config was checked")
+        monkeypatch.setattr(gfs.bench, "sample", no_sampling)
+        assert cli_main(argv + ["--q", "34"]) == 2
+        assert capsys.readouterr().err == "error: eckhoff needs q <= 33, got q=34\n"
+        # without eckhoff, q is not bounded by the Bernoulli table
+        ExperimentConfig(function="gaussian", methods=("roache",), q=34)
+
     def test_prony_M_above_half_N_is_one_inf_row(self, tmp_path):
         # M = 20 needs 40 samples: N=32 has 33, so that row alone is too small
         # (N=64 fits, and is ill-conditioned on smooth data); gfs is unaffected
@@ -403,6 +437,13 @@ class TestCli:
         assert rc == 0
         text = out.read_text()
         assert "mode_wavenumber" in text
+
+    @pytest.mark.parametrize("mode", [["leakage"], ["--function", "gaussian", "--method", "fft"]])
+    def test_unwritable_output_names_the_path(self, mode, capsys):
+        # both modes write --out through one writer, with one error line
+        out = "/no/such/dir/out.csv"
+        assert cli_main(mode + ["--N", "64", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write report to {out}: ")
 
     def test_leakage_params(self, tmp_path):
         out = tmp_path / "leak.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -53,6 +54,22 @@ def test_analytic_jump_consistency(name, params):
     for m in range(4):
         expected = f.derivative(PI, m) - f.derivative(-PI, m)
         assert f.analytic_jump(m) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTION_CATALOG))
+@pytest.mark.parametrize("q", [0, 16])
+def test_all_orders_take_one_formula_call(name, q):
+    f = get_function(name, **({"m": 3} if name == "monomial" else {}))
+    calls = []
+
+    def counted(x, orders):
+        calls.append((x, orders))
+        return f.formula(x, orders)
+
+    got = dataclasses.replace(f, formula=counted).derivatives(0.3, q)
+    assert calls == [(0.3, tuple(range(q)))]
+    assert got.dtype == np.float64 and got.shape == (q,)
+    assert got.tobytes() == f.derivatives(0.3, q).tobytes()
 
 
 def test_gaussian_peak():

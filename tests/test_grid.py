@@ -209,13 +209,13 @@ class TestSampleCatalog:
     def test_catalog_function_is_sampled_in_one_call(self):
         calls = []
 
-        def derivative(x, m):
-            calls.append((x, m))
-            return np.zeros_like(x)
+        def formula(x, orders):
+            calls.append((x, orders))
+            return np.zeros((len(orders),) + x.shape)
 
         grid = make_grid(-PI, PI, 16)
-        u = sample(CatalogFunction("zero", {}, derivative), grid)
-        assert len(calls) == 1 and calls[0][1] == 0
+        u = sample(CatalogFunction("zero", {}, formula), grid)
+        assert len(calls) == 1 and calls[0][1] == (0,)
         assert calls[0][0].tobytes() == grid.nodes().tobytes()
         assert u.values.tobytes() == np.zeros(17).tobytes()
 
@@ -257,6 +257,21 @@ class TestCatalogDerivative:
                 assert np.max(np.abs(got - want)) <= 4 * np.spacing(scale), m
             else:
                 assert got.tobytes() == want.tobytes(), m
+
+    @pytest.mark.parametrize("k1, k2", [(9, 17), (10, 20), (34, 36)])
+    def test_integer_wavenumbers_keep_exact_powers(self, k1, k2):
+        # an int k's powers are exact ints; pow(float(k), m) is an ulp off at
+        # some of these (k, m)
+        f = get_function("leakage_demo", k1=k1, k2=k2)
+        derivative = scalar_derivative(f)
+        for x in (PI, -PI, 0.3):
+            got = f.derivatives(x, 32)
+            want = [f.value(x)] + [derivative(x, m) for m in range(1, 32)]
+            assert got.tobytes() == np.array(want).tobytes()
+            assert got.tobytes() == np.array([f.derivative(x, m) for m in range(32)]).tobytes()
+        nodes = make_grid(-PI, PI, 16).nodes()
+        for m in (13, 17, 23):
+            assert f.derivative(nodes, m).tobytes() == np.array([derivative(x, m) for x in nodes]).tobytes()
 
 
 class TestSamplePlainCallable:

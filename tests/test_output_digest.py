@@ -69,3 +69,22 @@ def test_exceptions_hash_type_and_message():
     assert digest_of(tool, ArithmeticError("root 0 residual")) == base
     assert digest_of(tool, ArithmeticError("root 1 residual")) != base
     assert digest_of(tool, ValueError("root 0 residual")) != base
+
+
+def test_failures_list_each_op_that_raises_or_misses_its_check(monkeypatch, capsys):
+    tool = load_tool()
+    workloads = tool.import_workloads()
+    assert tool.workload_failures("fit_bound", [1], workloads) == []
+
+    run_op, calls = workloads.run_op, []
+
+    def broken(case):
+        calls.append(case)
+        if len(calls) == 4:
+            raise ArithmeticError("root 0 residual")
+        out = run_op(case)
+        return out + 1.0 if len(calls) == 7 else out
+
+    monkeypatch.setattr(workloads, "run_op", broken)
+    assert tool.main(["--failures", "--workload", "fit_bound", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == "fit_bound 1 3 ArithmeticError\nfit_bound 1 6 ToleranceMiss\n"

@@ -15,6 +15,13 @@ Into the digest go, in pool order:
 
 Two checkouts whose digests match gave the same bits on every op, so a
 change meant to keep every output can be shown to do so.
+
+    python3 tools/output_digest.py --failures --seed 1 2 3
+
+prints instead one line per failing op: workload, seed, case index in the
+pool, and the reason, which is the exception's type name for an op that
+raises, else the reason ``workloads.check`` gives. Two checkouts' lists
+compare their per-case pass/fail sets.
 """
 
 from __future__ import annotations
@@ -54,34 +61,62 @@ def update(digest, out):
                           + struct.pack("<dd", row.e_inf, row.e_2) + row.note.encode() + b"\0")
 
 
+def pool_outputs(workloads, name, seed):
+    """(case index, case, output) for every op of one seeded pool, in order;
+    an op that raises gives its exception as the output."""
+    cases, _ = workloads.make_cases(workloads.WORKLOADS[name], seed)
+    for i, case in enumerate(cases):
+        workloads.prepare(case)
+        try:
+            out = workloads.run_op(case)
+        except Exception as exc:  # part of the output: type and message
+            out = exc
+        yield i, case, out
+
+
 def workload_digest(name, seeds, workloads=None):
     """Hex SHA-256 over every op of workload ``name`` at each seed, in order."""
     workloads = workloads or import_workloads()
     digest = hashlib.sha256()
     for seed in seeds:
         digest.update(f"seed {seed}\0".encode())
-        cases, _ = workloads.make_cases(workloads.WORKLOADS[name], seed)
-        for case in cases:
-            workloads.prepare(case)
-            try:
-                out = workloads.run_op(case)
-            except Exception as exc:  # part of the output: type and message
-                out = exc
+        for _, _, out in pool_outputs(workloads, name, seed):
             update(digest, out)
     return digest.hexdigest()
+
+
+def workload_failures(name, seeds, workloads=None):
+    """(seed, case index, reason) for every op of workload ``name`` that
+    raises or fails its check, in order."""
+    workloads = workloads or import_workloads()
+    failures = []
+    for seed in seeds:
+        for i, case, out in pool_outputs(workloads, name, seed):
+            reason = (type(out).__name__ if isinstance(out, BaseException)
+                      else workloads.check(case, out))
+            if reason is not None:
+                failures.append((seed, i, reason))
+    return failures
 
 
 def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         names = [spec["name"] for spec in json.load(fh)["workloads"]]
-    ap = argparse.ArgumentParser(description="one SHA-256 of all op outputs per workload")
+    ap = argparse.ArgumentParser(description="one SHA-256 of all op outputs per workload, "
+                                             "or the ops that fail")
     ap.add_argument("--workload", action="append", choices=names,
                     help="workload to digest (repeatable; default: every workload)")
     ap.add_argument("--seed", type=int, nargs="+", required=True)
+    ap.add_argument("--failures", action="store_true",
+                    help="list the ops that raise or fail their check instead")
     args = ap.parse_args(argv)
     workloads = import_workloads()
     for name in args.workload or names:
-        print(f"{name} {workload_digest(name, args.seed, workloads)}")
+        if args.failures:
+            for seed, i, reason in workload_failures(name, args.seed, workloads):
+                print(f"{name} {seed} {i} {reason}")
+        else:
+            print(f"{name} {workload_digest(name, args.seed, workloads)}")
     return 0
 
 
