@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gfs.grid import GridSpec, SampledSignal, standard_chain_factor
+from gfs.grid import GridSpec, SampledSignal, integer_arg, standard_chain_factor
 from gfs.jumps import JumpData, to_standard_jumps
 from gfs.linalg import (DegenerateNodes, complex_principal_sqrt, count_distinct,
                         polynomial_roots, solve_least_squares,
@@ -223,9 +223,7 @@ def build_aperiodic_model(jumps: JumpData, n):
     The families shrink independently when their Hankel matrices are
     rank-deficient; the worst case is an empty (pure-periodic) model.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"mode count n must be >= 1, got {n}")
+    n = integer_arg(n, "mode count n", 1)
     if jumps.q < 4 * n:
         raise ValueError(f"need q = 4n = {4 * n} jumps, have {jumps.q}")
     sine = _build_family(jumps, "even", n)
@@ -233,69 +231,76 @@ def build_aperiodic_model(jumps: JumpData, n):
     return AperiodicModel(sine_modes=sine, cosine_modes=cosine)
 
 
-def _mode_loop(model, x, order):
-    """The complex mode sum at any x, one direct wave per mode."""
-    total = np.zeros(x.shape, dtype=complex)
-    shift = order * PI / 2.0
-    for wave, modes in ((np.sin, model.sine_modes), (np.cos, model.cosine_modes)):
-        unpaired = {}  # (k, c) -> term, complex modes still without a partner
-        for k, a in modes:
-            c = a * k ** order
-            if k.imag == 0.0:
-                term = c * wave(k.real * x + shift)
-            elif (partner := unpaired.pop((k.conjugate(), c.conjugate()), None)) is not None:
-                term = partner.conjugate()
-            else:
-                term = unpaired[(k, c)] = c * wave(k * x + shift)
-            total += term
+def _mode_terms(model, order):
+    """The order-th derivative of the mode sum as terms c Q_t(k x), formed once for both paths.
+
+    Q_0..Q_3 are sin, cos, -sin, -cos; a sine mode's term takes
+    t = order mod 4 and a cosine mode's one turn more, so each term is
+    c sin(k x) or c cos(k x) with c = +-a k^order. A mode whose (k, c) is
+    exactly (conj k_i, conj c_i) of an earlier mode i of the same family
+    folds into i, which then adds 2 Re of its term (c_i doubled, paired_i
+    set): exact pairs leave no imaginary part, however large their terms.
+
+    Returns the columns k, c, cos (the term's wave is cos) and paired as lists.
+    """
+    k, c, cos, paired = [], [], [], []
+    unpaired = {}  # (cos, k, c) -> index of a term still without a partner
+    for turn, modes in enumerate((model.sine_modes, model.cosine_modes), start=order):
+        odd = turn % 2 == 1
+        for k_j, a in modes:
+            c_j = a * k_j ** order
+            if turn % 4 >= 2:
+                c_j = -c_j
+            if (i := unpaired.pop((odd, np.conj(k_j), np.conj(c_j)), None)) is not None:
+                c[i] *= 2.0
+                paired[i] = True
+                continue
+            unpaired[(odd, k_j, c_j)] = len(k)
+            k.append(k_j)
+            c.append(c_j)
+            cos.append(odd)
+            paired.append(False)
+    return k, c, cos, paired
+
+
+def _mode_loop(terms, x):
+    """The mode sum at any x, one direct wave per term; float when every term is a pair."""
+    total = np.zeros(x.shape, dtype=float if all(terms[3]) else complex)
+    for k, c, cos, paired in zip(*terms):
+        wave = np.cos if cos else np.sin
+        # a real wavenumber takes the float wave: the same real part
+        term = c * (wave(k.real * x) if k.imag == 0.0 else wave(k * x))
+        total += term.real if paired else term
     return total
 
 
-def _mode_product(model, x, order, h, B):
+def _mode_product(terms, x, h, B):
     """The mode sum at uniform nodes x_j ~ x_0 + j h as one product.
 
-    Each wave is sin(k x + phi), with phi = order pi/2 for a sine mode and
-    (order + 1) pi/2 for a cosine mode. With x_(mB+r) ~ x_(mB) + r h, the
-    addition theorem makes the sum over all J modes at the M whole blocks
-    of B points A @ W: A (M x 2J) holds c sin(k x_(mB) + phi) and
-    c cos(k x_(mB) + phi) of each mode, c = a k^order, and W (2J x B)
-    cos(k r h) and sin(k r h) in the matching rows. The points after the
-    last whole block are one direct (tail x J) product.
-
-    A mode whose (k, c) is exactly (conj k_i, conj c_i) of an earlier
-    complex mode i of the same family is folded into i, which then adds
-    2 Re of its term, so exact pairs leave no imaginary part, however large
-    their terms; a model of such pairs alone sums to a float array.
+    With x_(mB+r) ~ x_(mB) + r h, the addition theorem makes the sum over
+    all J terms at the M whole blocks of B points A @ W: W (2J x B) holds
+    cos(k r h) and sin(k r h) of each term, and A (M x 2J) c sin(k x_(mB))
+    and c cos(k x_(mB)) for a sine term, c cos(k x_(mB)) and
+    -c sin(k x_(mB)) for a cosine term. The points after the last whole
+    block are one more block start's row of A against the first columns of
+    W. A paired term adds 2 Re of its product, so a sum of pairs alone is a
+    float array.
     """
-    k, c, phi, paired = [], [], [], []
-    for family, modes in enumerate((model.sine_modes, model.cosine_modes)):
-        unpaired = {}  # (k, c) -> index, complex modes still without a partner
-        for k_j, a in modes:
-            c_j = a * k_j ** order
-            if k_j.imag != 0.0:
-                if (i := unpaired.pop((k_j.conjugate(), c_j.conjugate()), None)) is not None:
-                    paired[i] = True
-                    continue
-                unpaired[(k_j, c_j)] = len(k)
-            k.append(k_j)
-            c.append(c_j)
-            phi.append((order + family) * PI / 2.0)
-            paired.append(False)
-    n = sum(paired)
-    pairs_first = sorted(range(len(k)), key=lambda i: not paired[i])
-    k = np.array([k[i] for i in pairs_first], dtype=complex)
-    c = np.array([c[i] * (2.0 if paired[i] else 1.0) for i in pairs_first], dtype=complex)
-    phi = np.array([phi[i] for i in pairs_first])
-    whole = x.size // B * B
-    start = np.multiply.outer(x[:whole:B], k) + phi
+    n = sum(terms[3])
+    pairs_first = np.argsort(np.logical_not(terms[3]), kind="stable")
+    k, c, cos = (np.asarray(column)[pairs_first] for column in terms[:3])
+    M = x.size // B
+    start = np.multiply.outer(x[::B], k)
     step = np.multiply.outer(k, h * np.arange(B))
-    # the columns of A run c sin, c cos of the first mode, then of the next:
+    s, co = np.sin(start), np.cos(start)
+    # the columns of A run the two of the first term, then of the next:
     # the n pairs fill the first 2n
-    A = np.stack([c * np.sin(start), c * np.cos(start)], axis=-1).reshape(len(start), -1)
-    W = np.stack([np.cos(step), np.sin(step)], axis=1).reshape(-1, B)
-    total = np.empty(x.size, dtype=float if 0 < n == k.size else complex)
-    np.matmul(*_fold_real(A, W, 2 * n), out=total[:whole].reshape(-1, B))
-    np.matmul(*_fold_real(np.sin(np.multiply.outer(x[whole:], k) + phi), c, n), out=total[whole:])
+    A = np.stack([c * np.where(cos, co, s), c * np.where(cos, -s, co)], axis=-1)
+    A, W = _fold_real(A.reshape(len(start), -1),
+                      np.stack([np.cos(step), np.sin(step)], axis=1).reshape(-1, B), 2 * n)
+    total = np.empty(x.size, dtype=A.dtype)
+    np.matmul(A[:M], W, out=total[:M * B].reshape(M, B))
+    total[M * B:] = (A[M:] @ W[:, :x.size - M * B]).ravel()
     return total
 
 
@@ -316,48 +321,33 @@ def _fold_real(P, Q, n):
 
 
 def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, step=None):
-    """u_a or its analytic derivative at x (scalar or array) on [-pi, pi].
+    """u_a or its analytic order-th derivative at x (scalar or array) on [-pi, pi].
 
-    Derivatives use the phase shift sin(kx + m pi/2); the result's
-    imaginary part must stay below the realness tolerance, otherwise the
-    conjugate pairing is broken and RealnessViolation is raised.
+    Every mode's term is c Q_t(k x) (``_mode_terms``): exact quarter turns
+    of sin, no rounded phase. An exact conjugate pair adds 2 Re of its first
+    member's term; any other imaginary part must stay below the realness
+    tolerance, else RealnessViolation is raised.
 
-    Direct rule: each mode adds its term c * wave(k x + shift),
-    c = a k^order, to the complex total in model order. Two rules skip
-    complex sines and cosines without changing a bit of the result:
-
-    - A real wavenumber (k.imag == 0) takes the float wave of
-      k.real * x + shift: the complex wave of a real argument has that real
-      part and a signed-zero imaginary part, which c * (.) only turns into
-      signed zeros.
-    - A mode whose (k, c) is exactly (conj k_i, conj c_i) of an earlier
-      complex mode i of the same family, as ``_pair_conjugates`` makes
-      partners, adds the conjugate of term i: complex sin, cos, * and **
-      are conjugate-symmetric. Models whose pairs are not exact conjugates
-      take the general path.
-
-    Blockwise rule: given ``step``, the spacing h of grid nodes
-    x_j = x_0 + j h (``GridSpec.standard_nodes()`` and ``.standard_step``),
-    a 1-D x of at least BLOCK_MIN_POINTS points takes the whole sum as one
-    matrix product (``_mode_product``) over blocks of B points: the waves
-    of every mode at the block starts times cos and sin of k r h (r < B).
-    One B serves all modes: isqrt(x.size), cut so that
-    max|Im k| B h <= 1/2, which bounds how far the cancelling products
-    outgrow the waves; B <= 1 takes the direct rule. As in the direct rule,
-    an exact conjugate pair leaves no imaginary part: the product adds 2 Re
-    of the first member's term. The product matches the direct sum within
-    about 16 eps sum |c| (1 + |k| pi) cosh(Im k pi).
-    Any other x keeps the direct rule, bit for bit.
+    Given ``step``, the spacing h of grid nodes x_j = x_0 + j h
+    (``GridSpec.standard_nodes()`` and ``.standard_step``), a 1-D x of at
+    least BLOCK_MIN_POINTS points takes the whole sum as one matrix product
+    (``_mode_product``) over blocks of B points: the waves of every term at
+    the block starts times cos and sin of k r h (r < B). One B serves all
+    terms: isqrt(x.size), cut so that max|Im k| B h <= 1/2, which bounds how
+    far the cancelling products outgrow the waves; B <= 1, and any other x,
+    take one direct wave per term. The product matches the direct sum
+    within about 16 eps sum |c| (1 + |k| pi) cosh(Im k pi).
     """
+    order = integer_arg(order, "order", 0)
     x = np.asarray(x, dtype=float)
+    terms = _mode_terms(model, order)
     B = 0
     if step is not None and x.ndim == 1 and x.size >= BLOCK_MIN_POINTS:
         B = math.isqrt(x.size)
-        im = max((abs(k.imag) for k, _ in model.sine_modes + model.cosine_modes),
-                 default=0.0) * step
+        im = max((abs(k.imag) for k in terms[0]), default=0.0) * step
         if im * B > 0.5:
             B = int(0.5 / im)
-    total = _mode_product(model, x, order, step, B) if B > 1 else _mode_loop(model, x, order)
+    total = _mode_product(terms, x, step, B) if B > 1 else _mode_loop(terms, x)
     if np.iscomplexobj(total) and total.size:
         scale = 1.0 + np.max(np.abs(total.real))
         max_imag = np.max(np.abs(total.imag))
@@ -402,9 +392,7 @@ def gfs_derivative(dec: GFSDecomposition, order=1):
     aperiodic part analytically; both in standard coordinates, then the
     chain factor maps back to the original interval.
     """
-    order = int(order)
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    order = integer_arg(order, "order", 1)
     grid = dec.grid
     dp = spectral_derivative_periodic(dec.periodic, order)
     da = evaluate_aperiodic(dec.aperiodic, grid.standard_nodes(), order,

@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from gfs.functions import TestFunction
+
+
+def integer_arg(value, name, minimum):
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer >= minimum."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 class BadSample(ValueError):
@@ -31,8 +43,7 @@ class GridSpec:
             raise ValueError(f"require finite a and b, got [{self.a}, {self.b}]")
         if self.b <= self.a:
             raise ValueError("require b > a")
-        if self.N < 8:
-            raise ValueError("require N >= 8")
+        object.__setattr__(self, "N", integer_arg(self.N, "N", 8))
 
     @property
     def dx(self):
@@ -76,7 +87,7 @@ class SampledSignal:
 
 
 def make_grid(a, b, N):
-    return GridSpec(float(a), float(b), int(N))
+    return GridSpec(float(a), float(b), N)
 
 
 def to_standard_interval(x, grid):

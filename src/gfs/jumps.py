@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gfs.grid import SampledSignal, standard_chain_factor
+from gfs.grid import SampledSignal, integer_arg, standard_chain_factor
 
 # Analytic jumps that are exactly zero are replaced by this value so the
 # Hankel systems stay formally nonzero; FD-estimated jumps carry their own
@@ -168,12 +168,8 @@ def estimate_jumps(u: SampledSignal, q, r):
     1..q-1 use the forward stencil at the left boundary and the backward
     stencil at the right boundary, each scaled by dx^-m.
     """
-    q = int(q)
-    r = int(r)
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    q = integer_arg(q, "q", 1)
+    r = integer_arg(r, "r", 1)
     grid = u.grid
     W = q - 1 + r
     if q > 1 and grid.N + 1 < 2 * W:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from gfs.grid import integer_arg
+
 
 def spectral_derivative_periodic(values, order=1):
     """Derivative of a periodic signal sampled at nodes 0..N of [-pi, pi].
@@ -20,6 +22,7 @@ def spectral_derivative_periodic(values, order=1):
     ``values`` has length N+1 with values[N] the periodic copy of
     values[0]; the returned array has the same layout.
     """
+    order = integer_arg(order, "order", 0)
     values = np.asarray(values, dtype=float)
     N = values.size - 1
     u = values[:N]

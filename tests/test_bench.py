@@ -24,6 +24,8 @@ from gfs.jumps import _fornberg_table, jump_stencils
 from gfs.linalg import DegenerateNodes
 
 HEADER = "method,function,N,param,jump_source,e_inf,e_2,wall_ms,note"
+# a trig_poly draw whose n=4 gfs fit raises RealnessViolation at N=64
+TRIG_POLY_BROKEN_PAIR = {"seed": 1729147489, "max_mode": 5}
 
 
 def read_rows(path):
@@ -63,14 +65,27 @@ class TestRunExperiment:
         assert row.note == "IllConditioned"
 
     def test_realness_violation_becomes_inf_row(self):
-        # one mode per family cannot fit a quadratic's jumps: the model's
-        # imaginary part exceeds the realness tolerance; the fft row survives
-        cfg = ExperimentConfig(function="monomial", params={"m": 2}, methods=("fft", "gfs"),
-                               N_list=(128,), n_modes=1, q=4)
+        # this draw's n=4 cosine family cancels to O(1) from amplitudes near
+        # 4.7e6, and its mode k ~ 6.9e-4i has no conjugate partner and a
+        # complex amplitude: the first derivative's imaginary part exceeds
+        # the realness tolerance; the fft row survives
+        cfg = ExperimentConfig(function="trig_poly", params=TRIG_POLY_BROKEN_PAIR,
+                               methods=("fft", "gfs"), N_list=(64,), n_modes=4, q=16)
         fft, failed = run_experiment(cfg).rows
         assert (failed.method, failed.note, failed.e_inf, failed.e_2) == (
             "gfs", "RealnessViolation", math.inf, math.inf)
         assert (fft.method, fft.note) == ("fft", "") and math.isfinite(fft.e_inf)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4: the regularized zero jump J_3 of x^2 fits one cosine mode "
+        "k = 8.9e-9i, a = 2.5e16; it is exactly real, but its constant cancels against "
+        "the samples and leaves e_inf 2.1e2"))
+    def test_quadratic_with_one_mode_is_accurate_or_raises(self):
+        """x^2 with n=1 and analytic jumps is within 1e-6 or raises."""
+        cfg = ExperimentConfig(function="monomial", params={"m": 2}, methods=("gfs",),
+                               N_list=(128,), n_modes=1, q=4)
+        (row,) = run_experiment(cfg).rows
+        assert row.note or row.e_inf <= 1e-6
 
     @pytest.mark.parametrize("exc", [ArithmeticError("root residual"), ZeroDivisionError(),
                                      DegenerateNodes("repeated nodes")])
@@ -496,9 +511,10 @@ class TestCli:
         assert capsys.readouterr().err == message
 
     def test_numerical_failure_is_a_row_not_an_abort(self, tmp_path):
-        out = tmp_path / "monomial.csv"
-        assert cli_main(["--function", "monomial", "--param", "m=2", "--n-modes", "1", "--q", "4",
-                         "--N", "128", "--method", "gfs", "--method", "fft",
+        out = tmp_path / "trig_poly.csv"
+        assert cli_main(["--function", "trig_poly", "--param", "seed=1729147489",
+                         "--param", "max_mode=5", "--n-modes", "4", "--q", "16",
+                         "--N", "64", "--method", "gfs", "--method", "fft",
                          "--out", str(out)]) == 0
         rows = {r[0]: r[5:7] + r[8:] for r in read_rows(out)}
         assert rows["gfs"] == ["inf", "inf", "RealnessViolation"]

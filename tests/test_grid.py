@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfs.core import build_aperiodic_model
 from gfs.functions import FUNCTION_CATALOG, NODE_BLOCK, _hermite_coeffs, get_function, multimode_wavenumbers
 from gfs.functions import TestFunction as CatalogFunction
 from gfs.grid import (
@@ -16,6 +17,7 @@ from gfs.grid import (
     sample,
     to_standard_interval,
 )
+from gfs.jumps import estimate_jumps, jumps_from_analytic
 
 PI = math.pi
 
@@ -49,6 +51,25 @@ class TestGridSpec:
     def test_rejects_non_finite_endpoints(self, a, b):
         with pytest.raises(ValueError, match="require finite a and b"):
             make_grid(a, b, 64)
+
+
+    @pytest.mark.parametrize("call, name", [
+        pytest.param(lambda: make_grid(-1.0, 1.0, 64.9), "N", id="make_grid"),
+        pytest.param(lambda: GridSpec(-PI, PI, 64.5), "N", id="GridSpec"),
+        pytest.param(lambda: estimate_jumps(sample(get_function("gaussian"), make_grid(-PI, PI, 64)),
+                                            4.7, 2), "q", id="estimate_jumps-q"),
+        pytest.param(lambda: estimate_jumps(sample(get_function("gaussian"), make_grid(-PI, PI, 64)),
+                                            4, 2.2), "r", id="estimate_jumps-r"),
+        pytest.param(lambda: build_aperiodic_model(jumps_from_analytic(get_function("gaussian"), 12),
+                                                   2.5), "mode count n", id="build_aperiodic_model"),
+    ])
+    def test_rejects_non_integral_sizes(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+
+    def test_numpy_integer_size_is_an_int(self):
+        grid = GridSpec(-PI, PI, np.int64(64))
+        assert type(grid.N) is int and grid == make_grid(-PI, PI, 64)
 
 
 class TestStandardNodes:

@@ -2,7 +2,9 @@
 
 import hashlib
 import importlib.util
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -88,3 +90,57 @@ def test_failures_list_each_op_that_raises_or_misses_its_check(monkeypatch, caps
     monkeypatch.setattr(workloads, "run_op", broken)
     assert tool.main(["--failures", "--workload", "fit_bound", "--seed", "1"]) == 0
     assert capsys.readouterr().out == "fit_bound 1 3 ArithmeticError\nfit_bound 1 6 ToleranceMiss\n"
+
+
+def stub_workloads(pools):
+    """A workloads module whose pool of workload w at seed s is pools[w][s].
+
+    Each case carries its output (an exception is raised) and its check reason.
+    """
+    def run_op(case):
+        if isinstance(case.out, BaseException):
+            raise case.out
+        return case.out
+
+    return SimpleNamespace(
+        WORKLOADS={name: name for name in pools},
+        GFS_TOL={("analytic", "gaussian", 2, 64): 1e-6},
+        TABLE_TOL={("gaussian", 32, method): 1e-3 for method in ("fd", "gfs")},
+        make_cases=lambda spec, seed: (pools[spec].get(seed, []), None),
+        prepare=lambda case: case,
+        run_op=run_op,
+        check=lambda case, out: case.reason)
+
+
+def derivative_case(err, reason=None):
+    exact = np.linspace(-1.0, 1.0, 5)
+    out = exact.copy()
+    out[2] += err
+    return SimpleNamespace(jumps="analytic", function="gaussian", n=2, N=64, exact=exact,
+                           out=out, reason=reason)
+
+
+def table_case(fd, gfs, reason=None):
+    rows = [row(method="fd", e_inf=fd), row(method="gfs", e_inf=gfs),
+            row(method="prony", e_inf=math.inf, note="IllConditioned")]
+    return SimpleNamespace(jumps="table", function="gaussian", N=32, out=rows, reason=reason)
+
+
+def test_margins_print_the_worst_passing_op_per_workload_and_method(monkeypatch, capsys):
+    tool = load_tool()
+    fake = stub_workloads({
+        "fit_bound": {
+            1: [derivative_case(2e-7), derivative_case(0.0, ArithmeticError("root 0 residual")),
+                derivative_case(5e-6, "ToleranceMiss")],
+            2: [derivative_case(-5e-7), derivative_case(1e-7)]},
+        "error_tables": {
+            1: [table_case(1e-4, 2e-4), table_case(5e-4, 1e-4),
+                table_case(9e-4, 5e-3, "ToleranceMiss:gfs")]},
+    })
+    assert tool.workload_margins("fit_bound", [1, 2], fake) == {"fit_bound": (0.5, 2, 0)}
+    monkeypatch.setattr(tool, "import_workloads", lambda: fake)
+    assert tool.main(["--margins", "--workload", "fit_bound", "--workload", "error_tables",
+                      "--seed", "1", "2"]) == 0
+    assert capsys.readouterr().out == ("fit_bound 2 0 0.5\n"
+                                       "error_tables:fd 1 1 0.5\n"
+                                       "error_tables:gfs 1 0 0.2\n")

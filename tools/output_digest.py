@@ -22,6 +22,15 @@ prints instead one line per failing op: workload, seed, case index in the
 pool, and the reason, which is the exception's type name for an op that
 raises, else the reason ``workloads.check`` gives. Two checkouts' lists
 compare their per-case pass/fail sets.
+
+    python3 tools/output_digest.py --margins --seed 1 2 3
+
+prints for each workload the worst err/tol among its passing ops, with
+the seed and case index of that op: err is an op's max-norm derivative
+error, tol its tolerance in ``perfbench/tolerances.py``. An error-table
+workload gets one line per method with a tolerance (``error_tables:gfs``);
+Prony rows have none. A change that moves output bits shows with it how
+close the passing ops came to their tolerances.
 """
 
 from __future__ import annotations
@@ -99,22 +108,53 @@ def workload_failures(name, seeds, workloads=None):
     return failures
 
 
+def op_margins(workloads, case, out):
+    """(label suffix, err/tol) of one op's output: one pair, or one per toleranced table method."""
+    if case.jumps != "table":
+        err = float(np.max(np.abs(out - case.exact)))
+        return [("", err / workloads.GFS_TOL[(case.jumps, case.function, case.n, case.N)])]
+    return [(":" + r.method, r.e_inf / workloads.TABLE_TOL[(case.function, case.N, r.method)])
+            for r in out if r.method != "prony"]
+
+
+def workload_margins(name, seeds, workloads=None):
+    """{label: (err/tol, seed, case index)} of the worst passing op of workload
+    ``name``, labelled by the workload, or by workload:method for error tables."""
+    workloads = workloads or import_workloads()
+    worst = {}
+    for seed in seeds:
+        for i, case, out in pool_outputs(workloads, name, seed):
+            if isinstance(out, BaseException) or workloads.check(case, out) is not None:
+                continue
+            for suffix, ratio in op_margins(workloads, case, out):
+                if name + suffix not in worst or ratio > worst[name + suffix][0]:
+                    worst[name + suffix] = (ratio, seed, i)
+    return worst
+
+
 def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         names = [spec["name"] for spec in json.load(fh)["workloads"]]
     ap = argparse.ArgumentParser(description="one SHA-256 of all op outputs per workload, "
-                                             "or the ops that fail")
+                                             "the ops that fail, or the worst passing margins")
     ap.add_argument("--workload", action="append", choices=names,
                     help="workload to digest (repeatable; default: every workload)")
     ap.add_argument("--seed", type=int, nargs="+", required=True)
-    ap.add_argument("--failures", action="store_true",
-                    help="list the ops that raise or fail their check instead")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--failures", action="store_true",
+                      help="list the ops that raise or fail their check instead")
+    mode.add_argument("--margins", action="store_true",
+                      help="print the worst err/tol of the passing ops instead")
     args = ap.parse_args(argv)
     workloads = import_workloads()
     for name in args.workload or names:
         if args.failures:
             for seed, i, reason in workload_failures(name, args.seed, workloads):
                 print(f"{name} {seed} {i} {reason}")
+        elif args.margins:
+            margins = workload_margins(name, args.seed, workloads)
+            for label, (ratio, seed, i) in sorted(margins.items()):
+                print(f"{label} {seed} {i} {ratio:.4g}")
         else:
             print(f"{name} {workload_digest(name, args.seed, workloads)}")
     return 0
