@@ -17,7 +17,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from gfs.grid import SampledSignal, standard_chain_factor
+from gfs.grid import SampledSignal, integer_arg, standard_chain_factor
 from gfs.jumps import GridTooSmall, JumpData, to_standard_jumps
 from gfs.linalg import polynomial_roots, solve_least_squares, vandermonde_matrix
 from gfs.spectral import spectral_derivative_periodic
@@ -68,6 +68,18 @@ def bernoulli_polynomial(m, x):
     return np.polyval(coeffs[::-1], x)
 
 
+def _seam_fraction(x):
+    """xi / 2 pi for xi = mod(x + pi, 2 pi), with xi = 2 pi at the right end of the period."""
+    xi = np.fmod(x + PI, TWO_PI)
+    xi = np.where(xi < 0.0, xi + TWO_PI, xi)
+    xi = np.where((xi == 0.0) & (x > -PI), TWO_PI, xi)
+    return xi / TWO_PI
+
+
+def _eckhoff_V_at(m, t):
+    return -(TWO_PI ** m) / factorial(m + 1) * bernoulli_polynomial(m + 1, t)
+
+
 def eckhoff_V(m, x):
     """Periodic singular basis V_m(x) built from B_{m+1}; x may be an array.
 
@@ -78,23 +90,22 @@ def eckhoff_V(m, x):
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    xi = np.fmod(x + PI, TWO_PI)
-    xi = np.where(xi < 0.0, xi + TWO_PI, xi)
-    xi = np.where((xi == 0.0) & (x > -PI), TWO_PI, xi)
-    return -(TWO_PI ** m) / factorial(m + 1) * bernoulli_polynomial(m + 1, xi / TWO_PI)
+    return _eckhoff_V_at(m, _seam_fraction(x))
 
 
-def eckhoff_singular_part(jumps: JumpData, x):
-    """s(x) = sum_m A^m V_m(x) with A^m = -J_m; x may be an array."""
-    return sum(-jumps.J[m] * eckhoff_V(m, x) for m in range(jumps.q))
+def eckhoff_singular(jumps: JumpData, x):
+    """(s(x), s'(x)) for s = sum_m A^m V_m with A^m = -J_m; x may be an array.
 
-
-def eckhoff_singular_derivative(jumps: JumpData, x):
-    """s'(x) using d/dx V_m = V_{m-1}; V_0' is the constant -1/(2 pi); x may be an array."""
-    total = np.full(np.shape(x), -jumps.J[0] * (-1.0 / TWO_PI))
+    s' uses d/dx V_m = V_{m-1}, and V_0' is the constant -1/(2 pi). The
+    wrapped coordinate and each V_m are built once for both sums.
+    """
+    t = _seam_fraction(x)
+    V = [_eckhoff_V_at(m, t) for m in range(jumps.q)]
+    s = sum(-jumps.J[m] * V[m] for m in range(jumps.q))
+    s_deriv = np.full(np.shape(x), -jumps.J[0] * (-1.0 / TWO_PI))
     for m in range(1, jumps.q):
-        total += -jumps.J[m] * eckhoff_V(m - 1, x)
-    return total
+        s_deriv += -jumps.J[m] * V[m - 1]
+    return s, s_deriv
 
 
 def eckhoff_derivative(u: SampledSignal, jumps: JumpData):
@@ -107,10 +118,8 @@ def eckhoff_derivative(u: SampledSignal, jumps: JumpData):
     """
     grid = u.grid
     sj = to_standard_jumps(jumps, grid)
-    xs = grid.standard_nodes()
-    s = eckhoff_singular_part(sj, xs)
+    s, s_deriv = eckhoff_singular(sj, grid.standard_nodes())
     smooth_deriv = spectral_derivative_periodic(u.values - s, 1)
-    s_deriv = eckhoff_singular_derivative(sj, xs)
     return SampledSignal(grid, (smooth_deriv + s_deriv) * standard_chain_factor(grid))
 
 
@@ -125,9 +134,7 @@ def roache_coefficients(jumps: JumpData, q):
     then each a_k absorbs the contribution of the higher terms to the
     (k-1)-th jump. a_0 is free and set to zero.
     """
-    q = int(q)
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    q = integer_arg(q, "q", 1)
     if jumps.q < q:
         raise ValueError(f"need {q} jumps, have {jumps.q}")
     a = np.zeros(q + 1)
@@ -187,23 +194,21 @@ class PronyFit:
 def prony_fit(u: SampledSignal, M):
     """Fit an M-term exponential sum to the first 2M samples.
 
-    Solves the Hankel system for the Prony polynomial, roots it for the
-    nodes z_j, takes principal logs for the exponents, and solves the
-    Vandermonde system for the amplitudes. Raises IllConditioned when the
-    numbers stop meaning anything, which is the expected outcome for
-    large M on smooth data.
+    Solves the real Hankel system for the real Prony polynomial, roots it
+    for the nodes z_j (non-real ones in exact conjugate pairs), takes
+    principal logs for the exponents, and solves the Vandermonde system for
+    the amplitudes. Raises IllConditioned when the numbers stop meaning
+    anything, which is the expected outcome for large M on smooth data.
     """
-    M = int(M)
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    M = integer_arg(M, "M", 1)
     h = u.values
     if h.size < 2 * M:
         raise GridTooSmall(f"need {2 * M} samples, have {h.size}")
     h = h[:2 * M]
     dx = u.grid.dx
 
-    H = np.lib.stride_tricks.sliding_window_view(h[:2 * M - 1], M).astype(complex)
-    rhs = -h[M:2 * M].astype(complex)
+    H = np.lib.stride_tricks.sliding_window_view(h[:2 * M - 1], M)
+    rhs = -h[M:2 * M]
     # Direct solve, not a truncated pseudoinverse: the Hankel is routinely
     # near-singular on smooth data yet the unregularized solution still
     # carries the recoverable modes; truncation destroys them.
@@ -246,7 +251,8 @@ def _check_prony_growth(fit, length, h):
 
 
 def prony_evaluate(fit: PronyFit, x, order=0):
-    """Re[sum c_j phi_j^order exp(phi_j (x - x0))]."""
+    """Re[sum c_j phi_j^order exp(phi_j (x - x0))] for an integer order >= 0."""
+    order = integer_arg(order, "order", 0)
     e = np.exp(np.outer(fit.phi, np.atleast_1d(x) - fit.x0))
     vals = ((fit.c * fit.phi ** order) @ e).real
     return float(vals[0]) if np.ndim(x) == 0 else vals

@@ -13,7 +13,7 @@ from gfs.baselines import (BERNOULLI_MAX_ORDER, bernoulli_coefficients, eckhoff_
                             prony_evaluate, prony_fit, roache_derivative)
 from gfs.core import gfs_decompose, gfs_derivative
 from gfs.functions import get_function
-from gfs.grid import lp_error_norm, make_grid, sample
+from gfs.grid import integer_arg, lp_error_norm, make_grid, sample
 from gfs.jumps import GridTooSmall, JumpData, estimate_jumps, fd_differentiate, jump_stencils, jumps_from_analytic
 from gfs.linalg import DegenerateNodes
 
@@ -44,8 +44,7 @@ class ExperimentConfig:
             raise ValueError(f"jump_source must be 'analytic' or 'fd:<r>' with an integer r >= 1, "
                              f"got {self.jump_source!r}")
         for name in ("n_modes", "q"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            object.__setattr__(self, name, integer_arg(getattr(self, name), name, 1))
         # eckhoff's singular basis reads the Bernoulli polynomials B_1..B_q
         if "eckhoff" in self.methods and self.q > BERNOULLI_MAX_ORDER + 1:
             raise ValueError(f"eckhoff needs q <= {BERNOULLI_MAX_ORDER + 1}, got q={self.q}")
@@ -116,18 +115,24 @@ def resolve_prony_M(cfg, N):
 
 @functools.cache
 def _warm_up_numpy():
-    """numpy's one-off first FFT and LAPACK calls, made once on tiny arrays.
+    """numpy's one-off first FFT and LAPACK calls, made once.
 
-    The first rfft/irfft, svd, eigvals and solve of a process load and set
-    up their backends; made here, before any timed window, they stay out of
-    the first row's ``wall_ms``. (No method calls the complex FFT.)
+    The first rfft/irfft, real and complex eigvals and solve (Prony's are
+    real, gfs's complex), svd and lstsq of a process set up their backends;
+    made here, before any timed window, they stay out of the first row's
+    ``wall_ms``. The 16x16 matrix has no structure and non-real
+    eigenvalues: a structured one such as the identity leaves parts of the
+    general eigenvalue path cold. (No method calls the complex FFT.)
     """
     a = np.ones(4)
     np.fft.irfft(np.fft.rfft(a), n=a.size)
-    m = np.eye(2, dtype=complex) + 0.5
-    np.linalg.svd(m)
-    np.linalg.eigvals(m)
-    np.linalg.solve(m, np.ones(2, dtype=complex))
+    real = np.sin(np.arange(256.0) ** 2).reshape(16, 16)
+    cplx = real.astype(complex)
+    for m in (real, cplx):
+        np.linalg.eigvals(m)
+        np.linalg.solve(m, m[0])
+    np.linalg.svd(cplx)
+    np.linalg.lstsq(cplx, cplx[0], rcond=None)
 
 
 def _run_single(cfg, method, u, exact, analytic):

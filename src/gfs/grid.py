@@ -11,13 +11,13 @@ import numpy as np
 from gfs.functions import TestFunction
 
 
-def integer_arg(value, name, minimum):
-    """``value`` as an int; ValueError naming ``name`` unless it is an integer >= minimum."""
+def integer_arg(value, name, minimum=None):
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer (>= minimum, if given)."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
 

@@ -38,11 +38,11 @@ def stencil_weights_at_offsets(d, offsets):
     ``offsets`` are integer node offsets s_m relative to the evaluation
     point; the approximation is u^(d)(x) ~ dx^-d * sum a_m u(x + s_m dx).
     """
-    offsets = tuple(int(s) for s in offsets)
+    offsets = tuple(integer_arg(s, "stencil offset") for s in offsets)
     if len(set(offsets)) != len(offsets):
         raise ValueError("stencil offsets must be distinct")
-    d = int(d)
-    if not 0 <= d < len(offsets):
+    d = integer_arg(d, "derivative order d", 0)
+    if d >= len(offsets):
         raise ValueError(f"derivative order {d} outside 0..{len(offsets) - 1} "
                          f"for stencil width {len(offsets)}")
     return _fornberg_table(offsets)[d]
@@ -98,10 +98,8 @@ def fd_weights(d, width, side="forward"):
     row times (-1)^d and needs no second Fornberg pass. Returns the weights
     as a tuple of Fractions; formal accuracy is width - d.
     """
-    d = int(d)
-    width = int(width)
-    if not 0 <= d < width:
-        raise ValueError(f"derivative order {d} outside 0..{width - 1} for width {width}")
+    d = integer_arg(d, "derivative order d", 0)
+    width = integer_arg(width, "stencil width", d + 1)
     if side not in ("forward", "backward"):
         raise ValueError(f"side must be 'forward' or 'backward', got {side!r}")
     row = _fornberg_table(tuple(range(width)))[d]
@@ -117,7 +115,7 @@ def jump_stencils(width):
     boundary). Rounding to the nearest float is symmetric, so row m of the
     backward table is the forward row times (-1)^m. The arrays are read-only.
     """
-    width = int(width)
+    width = integer_arg(width, "stencil width", 1)
     return tuple(_read_only([[float(w) for w in fd_weights(d, width, side)] for d in range(width)])
                  for side in ("forward", "backward"))
 
@@ -209,9 +207,9 @@ def fd_differentiate(u: SampledSignal, r=6):
     the left boundary (offsets -i..r-i), mirrored on the right, so order r
     holds at every node.
     """
-    r = int(r)
-    if r % 2 != 0 or r > 8 or r < 2:
-        raise ValueError("r must be even and in 2..8")
+    r = integer_arg(r, "r", 2)
+    if r % 2 != 0 or r > 8:
+        raise ValueError(f"r must be even and in 2..8, got {r}")
     grid = u.grid
     N = grid.N
     if N + 1 < r + 1:

@@ -1,9 +1,10 @@
-"""Dense complex linear algebra and root-finding primitives.
+"""Dense linear algebra and root-finding primitives.
 
-Everything here operates on tiny systems (at most ~16x16), so plain
-LAPACK-backed numpy routines are used throughout. The pseudoinverse solve
-mirrors the rank-revealing behavior needed by the jump Hankel systems,
-which are legitimately rank-deficient for simple inputs.
+Everything here operates on small systems (at most ~16x16 for gfs, N/2 for
+Prony's companion), so plain LAPACK-backed numpy routines are used
+throughout. The pseudoinverse solve mirrors the rank-revealing behavior
+needed by the jump Hankel systems, which are legitimately rank-deficient
+for simple inputs.
 """
 
 from __future__ import annotations
@@ -55,14 +56,18 @@ def solve_least_squares(A, b):
 
 
 def polynomial_roots(coeffs):
-    """All roots (with multiplicity) of c_0 + c_1 x + ... + c_n x^n.
+    """All roots (with multiplicity) of c_0 + c_1 x + ... + c_n x^n, as complex128.
 
     The roots of ``numpy.roots`` on the reversed (highest-first)
     coefficients, computed as it does: the i vanishing low-order
     coefficients c_0 .. c_(i-1) give i zero roots after the eigenvalues of
-    the companion matrix of the rest. Degree-0 input is rejected.
+    the companion matrix of the rest. The companion keeps the coefficients'
+    type: real coefficients get a real companion, whose non-real roots come
+    in exact conjugate pairs, and complex ones a complex companion. Degree-0
+    input is rejected.
     """
-    c = np.asarray(coeffs, dtype=complex).ravel()
+    c = np.asarray(coeffs).ravel()
+    c = c.astype(complex if np.iscomplexobj(c) else float, copy=False)
     if c.size < 2:
         raise ValueError("polynomial degree must be >= 1")
     if c[-1] == 0:
@@ -73,10 +78,11 @@ def polynomial_roots(coeffs):
         zeros += 1
     d = c.size - zeros - 1
     if d:
-        companion = np.zeros((d, d), dtype=complex)
+        companion = np.zeros((d, d), dtype=c.dtype)
         companion[0] = -p[1:d + 1] / p[0]
         companion.flat[d::d + 1] = 1.0
-        roots = np.linalg.eigvals(companion)
+        # a real companion gives float roots when every root is real
+        roots = np.linalg.eigvals(companion).astype(complex, copy=False)
     else:
         roots = np.empty(0, dtype=complex)
     if zeros:

@@ -11,8 +11,7 @@ from gfs.baselines import (
     bernoulli_polynomial,
     eckhoff_V,
     eckhoff_derivative,
-    eckhoff_singular_derivative,
-    eckhoff_singular_part,
+    eckhoff_singular,
     fft_derivative,
     polynomial_jump,
     prony_evaluate,
@@ -236,9 +235,9 @@ class TestArrayEqualsScalar:
         # q = 1: the singular derivative is a constant, still one per node
         jumps = JumpData(J=np.array([2 * PI]), source="analytic")
         x = make_grid(-PI, PI, 32).nodes()
-        np.testing.assert_array_equal(eckhoff_singular_derivative(jumps, x), np.ones(33))
-        np.testing.assert_array_equal(eckhoff_singular_part(jumps, x),
-                                      [-2 * PI * _eckhoff_V_ref(0, v) for v in x])
+        s, s_deriv = eckhoff_singular(jumps, x)
+        np.testing.assert_array_equal(s_deriv, np.ones(33))
+        np.testing.assert_array_equal(s, [-2 * PI * _eckhoff_V_ref(0, v) for v in x])
 
 
 class TestRoache:
@@ -302,7 +301,7 @@ class TestRoache:
         f = get_function(name, **{"trig_poly": {"seed": seed}, "monomial": {"m": 3}}.get(name, {}))
         jumps = jumps_from_analytic(f, q)
         xs = make_grid(-PI, PI, N).standard_nodes()
-        s = eckhoff_singular_part(jumps, xs)
+        s, _ = eckhoff_singular(jumps, xs)
         g = np.polyval(roache_coefficients(jumps, q)[::-1], xs)
         scale = max(np.max(np.abs(s)), np.max(np.abs(g)))
         assert np.ptp(s - g) <= 1e-13 * scale
@@ -346,6 +345,10 @@ class TestProny:
                                    np.sort_complex(phi), atol=1e-8)
         recon = prony_evaluate(fit, xs)
         np.testing.assert_allclose(recon, vals, atol=1e-8)
+        # real data give a real Prony polynomial, rooted by a real companion:
+        # the exponents come in exact conjugate pairs
+        assert np.count_nonzero(fit.phi.imag) == 2
+        np.testing.assert_array_equal(np.sort_complex(fit.phi), np.sort_complex(fit.phi.conj()))
 
     def test_gaussian_fails_at_fine_grids(self):
         f = get_function("gaussian")
@@ -368,3 +371,9 @@ class TestProny:
         fit = PronyFit(c=np.zeros(0, dtype=complex),
                        phi=np.zeros(0, dtype=complex), dx=0.1, x0=0.0)
         assert prony_evaluate(fit, 1.0, 1) == 0.0
+
+    def test_negative_derivative_order_is_rejected(self):
+        from gfs.baselines import PronyFit
+        fit = PronyFit(c=np.ones(1, dtype=complex), phi=np.zeros(1, dtype=complex), dx=0.1, x0=0.0)
+        with pytest.raises(ValueError, match="^order must be >= 0, got -1$"):
+            prony_evaluate(fit, 0.0, -1)

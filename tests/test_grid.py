@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfs.baselines import PronyFit, prony_evaluate, prony_fit, roache_coefficients
+from gfs.bench import ExperimentConfig
 from gfs.core import build_aperiodic_model
 from gfs.functions import FUNCTION_CATALOG, NODE_BLOCK, _hermite_coeffs, get_function, multimode_wavenumbers
 from gfs.functions import TestFunction as CatalogFunction
@@ -17,7 +19,14 @@ from gfs.grid import (
     sample,
     to_standard_interval,
 )
-from gfs.jumps import estimate_jumps, jumps_from_analytic
+from gfs.jumps import (
+    estimate_jumps,
+    fd_differentiate,
+    fd_weights,
+    jump_stencils,
+    jumps_from_analytic,
+    stencil_weights_at_offsets,
+)
 
 PI = math.pi
 
@@ -62,6 +71,24 @@ class TestGridSpec:
                                             4, 2.2), "r", id="estimate_jumps-r"),
         pytest.param(lambda: build_aperiodic_model(jumps_from_analytic(get_function("gaussian"), 12),
                                                    2.5), "mode count n", id="build_aperiodic_model"),
+        pytest.param(lambda: prony_fit(sample(get_function("gaussian"), make_grid(-PI, PI, 32)), 2.5),
+                     "M", id="prony_fit-M"),
+        pytest.param(lambda: prony_evaluate(PronyFit(np.ones(1, complex), np.zeros(1, complex), 0.1, 0.0), 0.0, 1.5),
+                     "order", id="prony_evaluate-order"),
+        pytest.param(lambda: roache_coefficients(jumps_from_analytic(get_function("gaussian"), 4), 2.5),
+                     "q", id="roache_coefficients-q"),
+        pytest.param(lambda: fd_differentiate(sample(get_function("gaussian"), make_grid(-PI, PI, 32)), 6.5),
+                     "r", id="fd_differentiate-r"),
+        pytest.param(lambda: fd_weights(1.5, 5), "derivative order d", id="fd_weights-d"),
+        pytest.param(lambda: fd_weights(1, 5.9), "stencil width", id="fd_weights-width"),
+        pytest.param(lambda: stencil_weights_at_offsets(1.7, [0, 1, 2]), "derivative order d",
+                     id="stencil_weights_at_offsets-d"),
+        pytest.param(lambda: stencil_weights_at_offsets(1, [0, 1.5, 2]), "stencil offset",
+                     id="stencil_weights_at_offsets-offset"),
+        pytest.param(lambda: jump_stencils(5.5), "stencil width", id="jump_stencils-width"),
+        pytest.param(lambda: ExperimentConfig(function="gaussian", q=8.5), "q", id="ExperimentConfig-q"),
+        pytest.param(lambda: ExperimentConfig(function="gaussian", n_modes=2.5), "n_modes",
+                     id="ExperimentConfig-n_modes"),
     ])
     def test_rejects_non_integral_sizes(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfs.linalg import (
@@ -106,6 +106,26 @@ class TestPolynomialRoots:
         with pytest.raises(ArithmeticError) as exc:
             polynomial_roots(c)
         assert str(exc.value) == f"root {i} residual {residual:.3e} exceeds bound {bound:.3e}"
+
+    @given(st.lists(st.floats(-4, 4), min_size=1, max_size=12), st.floats(0.25, 4), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_numpy_roots(self, low, lead, imaginary, seed):
+        # numpy.roots keeps the coefficients' type, and so does the companion here
+        c = np.array(low + [lead])
+        if imaginary:
+            c = c + 1j * np.random.default_rng(seed).uniform(-4, 4, c.size)
+        try:
+            roots = polynomial_roots(c)
+        except ArithmeticError:
+            assume(False)
+        np.testing.assert_array_equal(roots, np.roots(c[::-1]))
+
+    def test_real_roots_of_a_real_polynomial_are_complex(self):
+        # the real companion's eigvals alone would return float64 here
+        roots = polynomial_roots(np.array([-1.0, 0.0, 1.0]))
+        assert roots.dtype == np.complex128
+        np.testing.assert_array_equal(np.sort_complex(roots), [-1.0, 1.0])
 
     @given(st.lists(st.floats(-3, 3), min_size=2, max_size=6, unique=True))
     @settings(max_examples=40, deadline=None)

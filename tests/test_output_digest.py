@@ -41,9 +41,10 @@ def digest_of(tool, out):
 def test_digest_repeats_and_moves_with_one_ulp(monkeypatch):
     tool = load_tool()
     workloads = tool.import_workloads()
-    first = tool.workload_digest("fit_bound", [1], workloads)
-    assert first == tool.workload_digest("fit_bound", [1], workloads)
-    assert first != tool.workload_digest("fit_bound", [2], workloads)
+    first = tool.workload_digests("fit_bound", [1], workloads)
+    assert list(first) == ["fit_bound"]
+    assert first == tool.workload_digests("fit_bound", [1], workloads)
+    assert first != tool.workload_digests("fit_bound", [2], workloads)
 
     run_op, calls = workloads.run_op, []
 
@@ -53,7 +54,7 @@ def test_digest_repeats_and_moves_with_one_ulp(monkeypatch):
         return one_ulp_up(out) if len(calls) == 7 else out
 
     monkeypatch.setattr(workloads, "run_op", nudged)
-    assert tool.workload_digest("fit_bound", [1], workloads) != first
+    assert tool.workload_digests("fit_bound", [1], workloads) != first
 
 
 def test_rows_hash_errors_and_note_but_not_wall_time():
@@ -144,3 +145,27 @@ def test_margins_print_the_worst_passing_op_per_workload_and_method(monkeypatch,
     assert capsys.readouterr().out == ("fit_bound 2 0 0.5\n"
                                        "error_tables:fd 1 1 0.5\n"
                                        "error_tables:gfs 1 0 0.2\n")
+
+
+def test_error_tables_get_one_digest_per_method(monkeypatch, capsys):
+    tool = load_tool()
+    pool = {1: [table_case(1e-4, 2e-4), table_case(5e-4, 1e-4)], 2: [table_case(3e-4, 3e-4)]}
+    base = tool.workload_digests("error_tables", [1, 2], stub_workloads({"error_tables": pool}))
+    assert list(base) == ["error_tables", "error_tables:fd", "error_tables:gfs", "error_tables:prony"]
+
+    # a prony row that now fits moves the workload's digest and prony's alone
+    moved = dict(pool)
+    moved[2] = [table_case(3e-4, 3e-4)]
+    moved[2][0].out[2] = row(method="prony", e_inf=0.25)
+    after = tool.workload_digests("error_tables", [1, 2], stub_workloads({"error_tables": moved}))
+    assert [label for label in base if after[label] != base[label]] == ["error_tables",
+                                                                         "error_tables:prony"]
+
+    # the same rows at another case index are another output
+    shifted = {1: [table_case(1e-4, 2e-4)], 2: [table_case(5e-4, 1e-4), table_case(3e-4, 3e-4)]}
+    after = tool.workload_digests("error_tables", [1, 2], stub_workloads({"error_tables": shifted}))
+    assert all(after[label] != base[label] for label in base)
+
+    monkeypatch.setattr(tool, "import_workloads", lambda: stub_workloads({"error_tables": pool}))
+    assert tool.main(["--workload", "error_tables", "--seed", "1", "2"]) == 0
+    assert capsys.readouterr().out == "".join(f"{label} {digest}\n" for label, digest in base.items())

@@ -1,4 +1,5 @@
-"""SHA-256 of every benchmark op's output, one digest per workload.
+"""SHA-256 of every benchmark op's output, one digest per workload, and one
+per method for error tables.
 
     python3 tools/output_digest.py --workload fit_bound --seed 1 7 90210
     python3 tools/output_digest.py --seed 1 2 3        # every workload
@@ -14,7 +15,11 @@ Into the digest go, in pool order:
 - an op that raises: the exception's type name and message.
 
 Two checkouts whose digests match gave the same bits on every op, so a
-change meant to keep every output can be shown to do so.
+change meant to keep every output can be shown to do so. An error-table
+workload also prints one digest per method (``error_tables:prony``) over
+that method's rows alone, each tagged with its seed and case index, so a
+change to one method can show that the others kept their bits. An op that
+raises has no rows and moves only the workload's digest.
 
     python3 tools/output_digest.py --failures --seed 1 2 3
 
@@ -58,6 +63,12 @@ def import_workloads():
     return workloads
 
 
+def row_bytes(row):
+    """An error-table row's method, e_inf, e_2 and note (not its wall time)."""
+    return (b"row\0" + row.method.encode() + b"\0"
+            + struct.pack("<dd", row.e_inf, row.e_2) + row.note.encode() + b"\0")
+
+
 def update(digest, out):
     """Feed one op's output (array, error-table rows or exception) to the digest."""
     if isinstance(out, BaseException):
@@ -66,8 +77,7 @@ def update(digest, out):
         digest.update(b"array\0" + np.ascontiguousarray(out, dtype="<f8").tobytes())
     else:
         for row in out:
-            digest.update(b"row\0" + row.method.encode() + b"\0"
-                          + struct.pack("<dd", row.e_inf, row.e_2) + row.note.encode() + b"\0")
+            digest.update(row_bytes(row))
 
 
 def pool_outputs(workloads, name, seed):
@@ -83,15 +93,22 @@ def pool_outputs(workloads, name, seed):
         yield i, case, out
 
 
-def workload_digest(name, seeds, workloads=None):
-    """Hex SHA-256 over every op of workload ``name`` at each seed, in order."""
+def workload_digests(name, seeds, workloads=None):
+    """{label: hex SHA-256} over every op of workload ``name`` at each seed, in
+    order: ``name`` over every output, and for error tables ``name:method``
+    over that method's rows."""
     workloads = workloads or import_workloads()
-    digest = hashlib.sha256()
+    digests = {name: hashlib.sha256()}
     for seed in seeds:
-        digest.update(f"seed {seed}\0".encode())
-        for _, _, out in pool_outputs(workloads, name, seed):
-            update(digest, out)
-    return digest.hexdigest()
+        digests[name].update(f"seed {seed}\0".encode())
+        for i, _, out in pool_outputs(workloads, name, seed):
+            update(digests[name], out)
+            if isinstance(out, (BaseException, np.ndarray)):
+                continue
+            for row in out:
+                method = digests.setdefault(f"{name}:{row.method}", hashlib.sha256())
+                method.update(f"op {seed} {i}\0".encode() + row_bytes(row))
+    return {label: digest.hexdigest() for label, digest in sorted(digests.items())}
 
 
 def workload_failures(name, seeds, workloads=None):
@@ -135,8 +152,9 @@ def workload_margins(name, seeds, workloads=None):
 def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         names = [spec["name"] for spec in json.load(fh)["workloads"]]
-    ap = argparse.ArgumentParser(description="one SHA-256 of all op outputs per workload, "
-                                             "the ops that fail, or the worst passing margins")
+    ap = argparse.ArgumentParser(description="one SHA-256 of all op outputs per workload (and per "
+                                             "error-table method), the ops that fail, or the worst "
+                                             "passing margins")
     ap.add_argument("--workload", action="append", choices=names,
                     help="workload to digest (repeatable; default: every workload)")
     ap.add_argument("--seed", type=int, nargs="+", required=True)
@@ -156,7 +174,8 @@ def main(argv=None):
             for label, (ratio, seed, i) in sorted(margins.items()):
                 print(f"{label} {seed} {i} {ratio:.4g}")
         else:
-            print(f"{name} {workload_digest(name, args.seed, workloads)}")
+            for label, digest in workload_digests(name, args.seed, workloads).items():
+                print(f"{label} {digest}")
     return 0
 
 
