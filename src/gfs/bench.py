@@ -93,7 +93,7 @@ def _leading(jumps, q):
     """The first q jumps of ``jumps``."""
     if q < 1:
         raise ValueError(f"jump count {q} must be >= 1")
-    return JumpData(J=jumps.J[:q], source=jumps.source)
+    return JumpData(J=jumps.J[:q])
 
 
 def _method_param(cfg, method, N):

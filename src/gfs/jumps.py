@@ -125,7 +125,6 @@ class JumpData:
     """Endpoint derivative jumps J_m = u^(m)(b) - u^(m)(a), m = 0..q-1."""
 
     J: np.ndarray
-    source: str  # "analytic" or "fd:<r>"
 
     def __post_init__(self):
         J = np.asarray(self.J, dtype=float)
@@ -156,7 +155,7 @@ def jumps_from_analytic(f, q):
     J = hi - lo
     scale = np.maximum(np.abs(lo), np.abs(hi))
     J[(J == 0.0) | (np.abs(J) <= 1e-12 * scale)] = ZERO_JUMP_REGULARIZATION
-    return JumpData(J=J, source="analytic")
+    return JumpData(J=J)
 
 
 def estimate_jumps(u: SampledSignal, q, r):
@@ -184,7 +183,7 @@ def estimate_jumps(u: SampledSignal, q, r):
             left = F[m] @ head / dx ** m
             right = B[m] @ tail / dx ** m
             J[m] = right - left
-    return JumpData(J=J, source=f"fd:{r}")
+    return JumpData(J=J)
 
 
 def to_standard_jumps(jumps: JumpData, grid):
@@ -197,7 +196,7 @@ def to_standard_jumps(jumps: JumpData, grid):
     if factor == 1.0:
         return jumps
     J = jumps.J / factor ** np.arange(jumps.q)
-    return JumpData(J=J, source=jumps.source)
+    return JumpData(J=J)
 
 
 def fd_differentiate(u: SampledSignal, r=6):

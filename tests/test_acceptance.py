@@ -207,7 +207,7 @@ class TestCriterion8Properties:
         rng = np.random.default_rng(7)
         for q in range(1, 9):
             J = rng.uniform(-2, 2, size=q)
-            a = roache_coefficients(JumpData(J=J, source="analytic"), q)
+            a = roache_coefficients(JumpData(J=J), q)
             for m in range(q):
                 assert polynomial_jump(a, m) == pytest.approx(J[m], abs=1e-8)
 

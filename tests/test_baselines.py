@@ -130,7 +130,7 @@ class TestEckhoffDerivative:
     def test_ramp_interior_exact(self):
         g = make_grid(-PI, PI, 64)
         u = sample(lambda x: x, g)
-        jumps = JumpData(J=np.array([2 * PI]), source="analytic")
+        jumps = JumpData(J=np.array([2 * PI]))
         d = eckhoff_derivative(u, jumps)
         assert np.max(np.abs(d.values[1:-1] - 1.0)) <= 1e-10
 
@@ -233,7 +233,7 @@ class TestArrayEqualsScalar:
 
     def test_singular_parts_of_one_jump(self):
         # q = 1: the singular derivative is a constant, still one per node
-        jumps = JumpData(J=np.array([2 * PI]), source="analytic")
+        jumps = JumpData(J=np.array([2 * PI]))
         x = make_grid(-PI, PI, 32).nodes()
         s, s_deriv = eckhoff_singular(jumps, x)
         np.testing.assert_array_equal(s_deriv, np.ones(33))
@@ -242,14 +242,14 @@ class TestArrayEqualsScalar:
 
 class TestRoache:
     def test_ramp_single_term(self):
-        jumps = JumpData(J=np.array([2 * PI]), source="analytic")
+        jumps = JumpData(J=np.array([2 * PI]))
         a = roache_coefficients(jumps, 1)
         np.testing.assert_allclose(a, [0.0, 1.0], atol=1e-14)
 
     def test_ramp_derivative(self):
         g = make_grid(-PI, PI, 64)
         u = sample(lambda x: x, g)
-        jumps = JumpData(J=np.array([2 * PI]), source="analytic")
+        jumps = JumpData(J=np.array([2 * PI]))
         d = roache_derivative(u, jumps, 1)
         np.testing.assert_allclose(d.values, 1.0, atol=1e-12)
 
@@ -272,7 +272,7 @@ class TestRoache:
     def test_jump_matching(self, q, seed):
         rng = np.random.default_rng(seed)
         J = rng.uniform(-3, 3, size=q)
-        jumps = JumpData(J=J, source="analytic")
+        jumps = JumpData(J=J)
         a = roache_coefficients(jumps, q)
         for m in range(q):
             assert polynomial_jump(a, m) == pytest.approx(J[m], abs=1e-8)

@@ -43,7 +43,7 @@ def sine_sum_jumps(ks, amps, q):
         for k, a in zip(ks, amps):
             if m % 2 == 0:
                 J[m] += a * (-k * k) ** (m // 2) * 2 * math.sin(k * PI)
-    return JumpData(J=np.where(J == 0.0, 1e-15, J), source="analytic")
+    return JumpData(J=np.where(J == 0.0, 1e-15, J))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ class TestElementarySymmetric:
         assert e[0].real == pytest.approx(0.25, abs=1e-12)
 
     def test_all_regularized_rank(self):
-        jumps = JumpData(J=np.full(8, 1e-15), source="analytic")
+        jumps = JumpData(J=np.full(8, 1e-15))
         e, rank = solve_elementary_symmetric(jumps, "even", 2)
         assert rank <= 1 or np.max(np.abs(e)) < 1e-6
 
@@ -104,7 +104,7 @@ class TestModeAmplitudes:
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_overflowing_sine_drops_the_mode_quietly(self, parity):
         # sin(300i pi) overflows; the mode is dropped (NaN), no warning
-        jumps = JumpData(J=np.array([1.0, 0.5, 0.25, 0.125]), source="analytic")
+        jumps = JumpData(J=np.array([1.0, 0.5, 0.25, 0.125]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             amps = solve_mode_amplitudes([300j, 0.4 + 0j], jumps, parity)
@@ -116,7 +116,7 @@ class TestModeAmplitudes:
         # sin(k pi) is finite, but 2 k sin(k pi) (cosine family) or
         # 2 sin(k pi) (sine family) overflows: dropped (NaN), no warning
         assert np.isfinite(np.sin(k * PI))
-        jumps = JumpData(J=np.array([1.0, 0.5, 0.25, 0.125]), source="analytic")
+        jumps = JumpData(J=np.array([1.0, 0.5, 0.25, 0.125]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             amps = solve_mode_amplitudes([k, 0.4 + 0j], jumps, parity)
@@ -126,7 +126,7 @@ class TestModeAmplitudes:
 
 class TestBuildModel:
     def test_regularized_jumps_give_empty_model(self):
-        jumps = JumpData(J=np.full(8, 1e-15), source="analytic")
+        jumps = JumpData(J=np.full(8, 1e-15))
         model = build_aperiodic_model(jumps, 2)
         assert model.empty
 
@@ -146,7 +146,7 @@ class TestBuildModel:
         assert not model.cosine_modes
 
     def test_requires_enough_jumps(self):
-        jumps = JumpData(J=np.ones(4), source="analytic")
+        jumps = JumpData(J=np.ones(4))
         with pytest.raises(ValueError):
             build_aperiodic_model(jumps, 2)
 
@@ -410,7 +410,7 @@ def double_root_jumps(lam_even, lam_odd, n):
     m = np.arange(2 * n)
     J[0::2] = (m + 1) * lam_even ** m
     J[1::2] = 0.5 * (m + 1) * lam_odd ** m
-    return JumpData(J=J, source="analytic")
+    return JumpData(J=J)
 
 
 HAND_BUILT_JUMPS = {
@@ -418,14 +418,13 @@ HAND_BUILT_JUMPS = {
     "double_root_n2": (double_root_jumps(-0.3, -0.33, 2), 2),
     "double_root_n3": (double_root_jumps(-0.3, -0.33, 3), 3),
     # a zero Hankel matrix under a nonzero right-hand side: rank 0
-    "rank_zero": (JumpData(J=np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0, -2.0]),
-                           source="analytic"), 2),
+    "rank_zero": (JumpData(J=np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0, -2.0])), 2),
     # the sine family below EMPTY_FAMILY_TOL, the cosine family not
     "empty_sine_family": (JumpData(J=np.array([1e-14, 0.3, -1e-14, -0.2, 5e-14, 0.4,
-                                               1e-15, -0.1]), source="analytic"), 2),
-    "all_regularized": (JumpData(J=np.full(12, 1e-15), source="analytic"), 3),
-    "too_few_jumps": (JumpData(J=np.ones(6), source="analytic"), 2),
-    "no_modes": (JumpData(J=np.ones(8), source="analytic"), 0),
+                                               1e-15, -0.1])), 2),
+    "all_regularized": (JumpData(J=np.full(12, 1e-15)), 3),
+    "too_few_jumps": (JumpData(J=np.ones(6)), 2),
+    "no_modes": (JumpData(J=np.ones(8)), 0),
 }
 
 
@@ -478,7 +477,7 @@ class TestFitSameBitsAsBefore:
             n = int(rng.integers(1, 6))
             J = rng.standard_normal(4 * n) * rng.uniform(0.05, 40.0) ** np.arange(4 * n)
             J[rng.integers(0, 4 * n, int(rng.integers(0, 3)))] = 0.0
-            assert_same_fit(JumpData(J=J, source="analytic"), n)
+            assert_same_fit(JumpData(J=J), n)
 
 
 # Q_0..Q_3 = sin, cos, -sin, -cos as (sign, wave): the order-m derivative of
@@ -971,7 +970,7 @@ class TestDerivative:
     def test_pure_harmonic(self):
         g = make_grid(-PI, PI, 64)
         u = sample(lambda x: math.sin(3 * x), g)
-        jumps = JumpData(J=np.full(8, 1e-15), source="analytic")
+        jumps = JumpData(J=np.full(8, 1e-15))
         d = gfs_derivative(gfs_decompose(u, 2, jumps))
         np.testing.assert_allclose(d.values, 3 * np.cos(3 * g.nodes()),
                                    atol=1e-11)

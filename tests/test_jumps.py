@@ -187,7 +187,7 @@ class TestStandardJumps:
         from gfs.jumps import JumpData
 
         g = make_grid(0.0, 1.0, 64)
-        J = JumpData(J=np.array([2.0, 3.0, 5.0]), source="analytic")
+        J = JumpData(J=np.array([2.0, 3.0, 5.0]))
         Js = to_standard_jumps(J, g)
         # m-th derivative in standard coordinates picks up (L / 2 pi)^m.
         for m in range(3):
