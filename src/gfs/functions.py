@@ -12,16 +12,16 @@ formula call (the analytic jumps read it at x = +-pi).
 Row m of a formula call does not depend on the other orders asked for, and
 every sample and every array derivative, except modulated_sine's at m >= 1 (a
 complex product, within an ulp), has the bits of the scalar call at its node,
-so J_0 is the difference of the end samples of a [-pi, pi] grid. Arithmetic
-and np.sin/np.cos give the scalar bits on arrays. exp, log and powers go node
-by node through the libm scalars on arrays (``_exp``, ``_log``, ``_pow``):
-numpy's array exp, log and power round differently in the last bit at some
-nodes, and a fit that cancels can turn on that bit.
+so J_0 is the difference of the end samples of a [-pi, pi] grid. A formula
+runs one arithmetic on a float and on an array: numpy's exp, log, sin and cos
+give a float the bits they give an array node. monomial's power alone goes
+node by node through math.pow (``_libm_pow``): numpy's array power rounds
+differently in the last bit at some nodes, and the cancelling cubic fit of
+fd_jumps seed 1, case 67 misses its tolerance on that bit.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 import operator
@@ -35,23 +35,24 @@ PI = math.pi
 # Highest derivative order the catalog guarantees exactly.
 DERIVATIVE_ORDER_MAX = 31
 
-_exp_nodes = np.frompyfunc(math.exp, 1, 1)
-_log_nodes = np.frompyfunc(math.log, 1, 1)
 _pow_nodes = np.frompyfunc(math.pow, 2, 1)
 
 
-# math.exp, math.log and math.pow on a float; applied node by node on an
-# array (object array out, which the formula turns back into float64).
-def _exp(x):
-    return _exp_nodes(x) if isinstance(x, np.ndarray) else math.exp(x)
-
-
-def _log(x):
-    return _log_nodes(x) if isinstance(x, np.ndarray) else math.log(x)
-
-
-def _pow(x, y):
+# monomial's x ** y through math.pow, node by node on an array (an object
+# array): numpy's power fails fd_jumps seed 1, case 67, a cancelling cubic fit.
+def _libm_pow(x, y):
     return _pow_nodes(x, y) if isinstance(x, np.ndarray) else math.pow(x, y)
+
+
+def _integer_param(value, function, name):
+    """An int, numpy int or integral float (``--param m=3.0`` parses to 3.0)
+    as an int; ValueError naming the parameter for any other value."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{function} needs an integer {name}, got {value!r}") from None
 
 
 # Nodes per formula call: keeps the (nodes, modes) temporaries and the
@@ -126,59 +127,36 @@ def modulated_sine(a=-1.0 / PI, b=0.75):
     return TestFunction(name="modulated_sine", params={"a": a, "b": b}, formula=formula)
 
 
-@functools.cache
-def _hermite_coeffs(order):
-    # Physicists' Hermite polynomial coefficients, ascending powers; a tuple,
-    # so the cached value cannot be changed by a caller.
-    h0 = [1.0]
-    if order == 0:
-        return tuple(h0)
-    h1 = [0.0, 2.0]
-    for m in range(1, order):
-        # H_{m+1}(t) = 2 t H_m(t) - 2 m H_{m-1}(t)
-        nxt = [0.0] * (m + 2)
-        for i, c in enumerate(h1):
-            nxt[i + 1] += 2.0 * c
-        for i, c in enumerate(h0):
-            nxt[i] -= 2.0 * m * c
-        h0, h1 = h1, nxt
-    return tuple(h1)
-
-
 def gaussian(x0=3.0 * PI / 4.0, w=1.0):
-    """u = exp(-((x-x0)/w)^2); derivatives via the Hermite recurrence."""
+    """u = exp(-t^2), t = (x-x0)/w; u^(m) = (-1/w)^m H_m(t) exp(-t^2), with the
+    physicists' Hermite values from H_{m+1} = 2t H_m - 2m H_{m-1}."""
     if w == 0:
         raise ValueError(f"gaussian needs w != 0, got {w}")
 
     def formula(x, orders):
         t = (x - x0) / w
-        if any(orders):
-            # The powers of t and exp(-t t), shared by all orders >= 1 and
-            # skipped for a sample (order 0 alone). On an array, Python's **
-            # node by node (an object array): numpy's array power rounds
-            # differently, and the Hermite sum magnifies it.
-            ts = t.astype(object) if isinstance(t, np.ndarray) else t
-            powers = [ts ** i for i in range(max(orders) + 1)]
-            e = _exp(-t * t)
-        rows = []
-        for m in orders:
-            if m:
-                ht = sum(map(operator.mul, _hermite_coeffs(m), powers))
-                rows.append((-1.0 / w) ** m * ht * e)
-            else:
-                rows.append(_exp(-_pow(t, 2)))
-        return np.array(rows, dtype=float)
+        top = max(orders, default=0)
+        h = [1.0, 2.0 * t] if top else [1.0]
+        for m in range(1, top):
+            h.append(2.0 * t * h[m] - 2.0 * m * h[m - 1])
+        e = np.exp(-(t * t))
+        return np.array([(-1.0 / w) ** m * h[m] * e for m in orders], dtype=float)
 
     return TestFunction(name="gaussian", params={"x0": x0, "w": w}, formula=formula)
 
 
 def log_fn():
-    """u = log(x + pi + 1/2); m-th derivative (-1)^(m-1) (m-1)! / (x+pi+1/2)^m."""
+    """u = log(y), y = x + pi + 1/2 > 0; u' = 1/y and u^(m) = -(m-1) u^(m-1) / y."""
 
     def formula(x, orders):
         y = x + PI + 0.5
-        return np.array([(-1.0) ** (m - 1) * math.factorial(m - 1) / _pow(y, m) if m else _log(y)
-                         for m in orders], dtype=float)
+        if np.any(y <= 0.0):
+            raise ValueError(f"log_fn needs x > -pi - 1/2, got x = {np.min(x)}")
+        top = max(orders, default=0)
+        d = [np.log(y), 1.0 / y] if top else [np.log(y)]
+        for m in range(2, top + 1):
+            d.append(-(m - 1) * d[m - 1] / y)
+        return np.array([d[m] for m in orders], dtype=float)
 
     return TestFunction(name="log_fn", params={}, formula=formula)
 
@@ -191,7 +169,7 @@ def multimode_wavenumbers(n_modes):
 
 def multimode(n_modes=30):
     """Sum of sin(k_j x) + cos(k_j x) over non-integer wavenumbers k_j."""
-    n_modes = int(n_modes)
+    n_modes = _integer_param(n_modes, "multimode", "n_modes")
     if n_modes < 2:
         raise ValueError(f"multimode needs n_modes >= 2, got {n_modes}")
     ks = multimode_wavenumbers(n_modes)
@@ -206,13 +184,13 @@ def multimode(n_modes=30):
 
 def monomial(m=1):
     """u = x^m."""
-    m = int(m)
+    m = _integer_param(m, "monomial", "m")
     if m < 0:
         raise ValueError(f"monomial needs m >= 0, got {m}")
 
     def formula(x, orders):
         zero = np.zeros(x.shape) if isinstance(x, np.ndarray) else 0.0
-        return np.array([math.factorial(m) / math.factorial(m - order) * _pow(x, m - order)
+        return np.array([math.factorial(m) / math.factorial(m - order) * _libm_pow(x, m - order)
                          if order <= m else zero for order in orders], dtype=float)
 
     return TestFunction(name="monomial", params={"m": m}, formula=formula)
@@ -232,8 +210,10 @@ def leakage_demo(k1=5.3, k2=12.4, a1=0.7, a2=1.0):
 
 def trig_poly(seed=0, max_mode=5):
     """Random integer-mode trigonometric polynomial; periodic by construction."""
-    rng = np.random.default_rng(int(seed))
-    modes = np.arange(1, int(max_mode) + 1, dtype=float)
+    seed = _integer_param(seed, "trig_poly", "seed")
+    max_mode = _integer_param(max_mode, "trig_poly", "max_mode")
+    rng = np.random.default_rng(seed)
+    modes = np.arange(1, max_mode + 1, dtype=float)
     a = rng.uniform(-1.0, 1.0, modes.size)
     b = rng.uniform(-1.0, 1.0, modes.size)
     c0 = float(rng.uniform(-1.0, 1.0))
@@ -247,7 +227,7 @@ def trig_poly(seed=0, max_mode=5):
                 out[i] += c0
         return out
 
-    return TestFunction(name="trig_poly", params={"seed": int(seed), "max_mode": int(max_mode)},
+    return TestFunction(name="trig_poly", params={"seed": seed, "max_mode": max_mode},
                         formula=formula)
 
 

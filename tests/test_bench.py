@@ -369,6 +369,25 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {function} needs")
 
+    @pytest.mark.parametrize("function, param", [
+        ("monomial", "m=3.7"), ("multimode", "n_modes=2.5"), ("trig_poly", "seed=1.5"),
+        ("trig_poly", "max_mode=4.2")])
+    def test_non_integral_catalog_param(self, function, param, capsys):
+        name, _, value = param.partition("=")
+        rc = cli_main(["--function", function, "--param", param, "--method", "fft", "--N", "32"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {function} needs an integer {name}, got {value}\n"
+
+    def test_integral_float_catalog_param_is_the_integer(self, tmp_path):
+        tables = []
+        for m in ("3", "3.0"):
+            out = tmp_path / f"monomial_{m}.csv"
+            assert cli_main(["--function", "monomial", "--param", f"m={m}", "--method", "fft",
+                             "--method", "gfs", "--N", "32", "--out", str(out)]) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()]
+            tables.append([row[:7] + row[8:] for row in rows])  # all but wall_ms
+        assert tables[0] == tables[1]
+
     @pytest.mark.parametrize("rule", ["Nk", "0", "-1", "x"])
     def test_bad_prony_M(self, rule, capsys, monkeypatch):
         def no_sampling(*args):

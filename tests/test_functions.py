@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from gfs.functions import (
     DERIVATIVE_ORDER_MAX,
     FUNCTION_CATALOG,
-    _hermite_coeffs,
     get_function,
     multimode_wavenumbers,
 )
@@ -140,38 +141,54 @@ def test_modulated_sine_high_order_against_mpmath():
         assert f.derivative(0.4, order) == pytest.approx(exact, rel=1e-9)
 
 
-def _hermite_coeffs_uncached(order):
-    # the recurrence of gfs.functions._hermite_coeffs, rebuilt on every call
-    h0 = [1.0]
-    if order == 0:
-        return h0
-    h1 = [0.0, 2.0]
-    for m in range(1, order):
-        nxt = [0.0] * (m + 2)
-        for i, c in enumerate(h1):
-            nxt[i + 1] += 2.0 * c
-        for i, c in enumerate(h0):
-            nxt[i] -= 2.0 * m * c
-        h0, h1 = h1, nxt
-    return h1
+def exact_hermite(t, m):
+    """The physicists' H_m(t) in rationals at the float t: exact."""
+    t = Fraction(t)
+    h0, h1 = Fraction(1), 2 * t  # H_{k-1}(t), H_k(t)
+    for k in range(1, m):
+        h0, h1 = h1, 2 * t * h1 - 2 * k * h0
+    return h1 if m else h0
 
 
-class TestHermiteCache:
-    def test_cached_coefficients_are_a_tuple(self):
-        h = _hermite_coeffs(7)
-        assert isinstance(h, tuple)
-        assert _hermite_coeffs(7) is h
-        with pytest.raises(TypeError):
-            h[0] = 1.0
+@pytest.mark.parametrize("x0, w", [(3.0 * PI / 4.0, 1.0), (2.3, 0.9), (-1.1, 1.3)])
+def test_gaussian_derivatives_agree_with_exact_hermite_values(x0, w):
+    # (-1/w)^m H_m(t) exp(-t^2) at the float t, with the scale and H_m(t)
+    # exact; a power-basis Hermite sum is off by up to 5e-9 here.
+    f = get_function("gaussian", x0=x0, w=w)
+    for x in (-PI, -0.7, 0.0, 1.9, PI):
+        t = (x - x0) / w
+        e = Fraction(math.exp(-t * t))
+        for m in range(DERIVATIVE_ORDER_MAX + 1):
+            exact = (-1) ** m * exact_hermite(t, m) / Fraction(w) ** m * e
+            assert abs(Fraction(f.derivative(x, m)) - exact) <= Fraction(1e-13) * abs(exact), (x, m)
 
-    @pytest.mark.parametrize("x0, w", [(3.0 * PI / 4.0, 1.0), (2.3, 0.9), (-1.1, 1.3)])
-    def test_gaussian_derivatives_equal_the_uncached_reference(self, x0, w):
-        f = get_function("gaussian", x0=x0, w=w)
-        for x in (-PI, -0.7, 0.0, 1.9, PI):
-            t = (x - x0) / w
-            for order in range(DERIVATIVE_ORDER_MAX + 1):
-                h = _hermite_coeffs_uncached(order)
-                ht = sum(c * t ** i for i, c in enumerate(h))
-                expected = (-1.0 / w) ** order * ht * math.exp(-t * t)
-                got = f.derivative(x, order)
-                assert np.float64(got).view(np.uint64) == np.float64(expected).view(np.uint64)
+
+def test_log_fn_below_its_domain_raises_value_error():
+    f = get_function("log_fn")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (-4.0, -PI - 0.5, np.array([-3.0, -4.0])):
+            for m in (0, 1, 5):
+                with pytest.raises(ValueError, match=r"log_fn needs x > -pi - 1/2"):
+                    f.derivative(x, m)
+        with pytest.raises(ValueError, match=r"log_fn needs x > -pi - 1/2"):
+            f.derivatives(-4.0, 8)
+
+
+@pytest.mark.parametrize("name, param", [
+    ("multimode", "n_modes"), ("monomial", "m"), ("trig_poly", "seed"), ("trig_poly", "max_mode")])
+def test_integer_params_take_ints_numpy_ints_and_integral_floats(name, param):
+    want = get_function(name, **{param: 3})
+    nodes = np.linspace(-PI, PI, 9)
+    for value in (np.int64(3), 3.0, np.float64(3.0)):
+        f = get_function(name, **{param: value})
+        assert f.params == want.params and type(f.params[param]) is int
+        assert f.value(nodes).tobytes() == want.value(nodes).tobytes()
+
+
+@pytest.mark.parametrize("name, param", [
+    ("multimode", "n_modes"), ("monomial", "m"), ("trig_poly", "seed"), ("trig_poly", "max_mode")])
+@pytest.mark.parametrize("value", [2.5, 3.7, np.float64(4.2), math.nan, math.inf, "3"])
+def test_non_integral_params_raise_naming_the_parameter(name, param, value):
+    with pytest.raises(ValueError, match=f"^{name} needs an integer {param}, got "):
+        get_function(name, **{param: value})

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gfs.baselines import PronyFit, prony_evaluate, prony_fit, roache_coefficients
 from gfs.bench import ExperimentConfig
 from gfs.core import build_aperiodic_model
-from gfs.functions import FUNCTION_CATALOG, NODE_BLOCK, _hermite_coeffs, get_function, multimode_wavenumbers
+from gfs.functions import FUNCTION_CATALOG, NODE_BLOCK, get_function, multimode_wavenumbers
 from gfs.functions import TestFunction as CatalogFunction
 from gfs.grid import (
     BadSample,
@@ -171,14 +171,18 @@ def trig_poly_coefficients(p):
 
 
 def scalar_value(f):
-    """The catalog's value as it was when sample called it once per node."""
+    """The catalog's value as it was when sample called it once per node,
+    with numpy's exp and log on the float for gaussian and log_fn."""
     p = f.params
     if f.name == "modulated_sine":
         return lambda x: math.exp(p["a"] * (x + PI)) * math.sin(p["b"] * (x + PI))
     if f.name == "gaussian":
-        return lambda x: math.exp(-(((x - p["x0"]) / p["w"]) ** 2))
+        def gaussian_value(x):
+            t = (x - p["x0"]) / p["w"]
+            return float(np.exp(-(t * t)))
+        return gaussian_value
     if f.name == "log_fn":
-        return lambda x: math.log(x + PI + 0.5)
+        return lambda x: float(np.log(x + PI + 0.5))
     if f.name == "multimode":
         ks = multimode_wavenumbers(p["n_modes"])
         return lambda x: float(np.sum(np.sin(ks * x) + np.cos(ks * x)))
@@ -192,7 +196,8 @@ def scalar_value(f):
 
 def scalar_derivative(f):
     """The catalog's scalar derivative of order m >= 1 as it was written
-    before value and derivative became one closed form."""
+    before value and derivative became one closed form; gaussian's and
+    log_fn's as recurrences over the orders."""
     p = f.params
 
     def shifted(wave, k, x, m):
@@ -204,11 +209,19 @@ def scalar_derivative(f):
     if f.name == "gaussian":
         def gaussian(x, m):
             t = (x - p["x0"]) / p["w"]
-            ht = sum(c * t ** i for i, c in enumerate(_hermite_coeffs(m)))
-            return (-1.0 / p["w"]) ** m * ht * math.exp(-t * t)
+            h0, h1 = 1.0, 2.0 * t  # H_{k-1}(t), H_k(t)
+            for k in range(1, m):
+                h0, h1 = h1, 2.0 * t * h1 - 2.0 * k * h0
+            return (-1.0 / p["w"]) ** m * h1 * float(np.exp(-(t * t)))
         return gaussian
     if f.name == "log_fn":
-        return lambda x, m: (-1.0) ** (m - 1) * math.factorial(m - 1) / (x + PI + 0.5) ** m
+        def log_derivative(x, m):
+            y = x + PI + 0.5
+            d = 1.0 / y
+            for k in range(2, m + 1):
+                d = -(k - 1) * d / y
+            return d
+        return log_derivative
     if f.name == "multimode":
         ks = multimode_wavenumbers(p["n_modes"])
         return lambda x, m: float(np.sum(shifted(np.sin, ks, x, m) + shifted(np.cos, ks, x, m)))
