@@ -151,7 +151,7 @@ def exact_hermite(t, m):
 
 
 @pytest.mark.parametrize("x0, w", [(3.0 * PI / 4.0, 1.0), (2.3, 0.9), (-1.1, 1.3)])
-def test_gaussian_derivatives_agree_with_exact_hermite_values(x0, w):
+def test_gaussian_against_exact_hermite(x0, w):
     # (-1/w)^m H_m(t) exp(-t^2) at the float t, with the scale and H_m(t)
     # exact; a power-basis Hermite sum is off by up to 5e-9 here.
     f = get_function("gaussian", x0=x0, w=w)
