@@ -66,29 +66,42 @@ class AperiodicModel:
 
 
 def solve_elementary_symmetric(jumps: JumpData, parity, n):
-    """Elementary symmetric polynomials of the squared wavenumbers.
+    """Elementary symmetric polynomials of the squared wavenumbers, per family of a stack.
 
     ``parity`` selects the jump subsequence: "even" (J_0, J_2, ...) feeds
-    the sine family, "odd" (J_1, J_3, ...) the cosine family. Returns the
-    stacked vector (e_n, ..., e_1) and the numerical rank of the Hankel
-    matrix.
+    the sine family, "odd" (J_1, J_3, ...) the cosine family. A tuple of
+    parities stacks their families. Returns the stacked vectors
+    (e_n, ..., e_1), one row per family, and the numerical rank of each
+    family's Hankel matrix; a single parity gives its vector and rank alone.
     """
-    J = _family_jumps(jumps, parity)
-    if J.size < 2 * n:
-        raise ValueError(f"need {2 * n} {parity} jumps, have {J.size}")
+    parities = _as_stack(parity)
+    J = []
+    for p in parities:
+        Jp = _family_jumps(jumps, p)
+        if Jp.size < 2 * n:
+            raise ValueError(f"need {2 * n} {p} jumps, have {Jp.size}")
+        J.append(Jp[:2 * n])
+    J = np.array(J)
     # The raw Hankel entries grow like k_max^(2m); without equilibration a
     # handful of large wavenumbers swamps the singular values of the small
     # ones and the rank test misfires. Symmetric diagonal scaling by a
     # geometric estimate of that growth keeps the condition number tame and
     # leaves genuine rank deficiency (fewer actual modes than n) visible.
-    c = max(float(np.abs(J[:2 * n]).max()), 1.0) ** (1.0 / (2 * n - 1)) if n > 1 else 1.0
+    c = np.array([[max(float(top), 1.0) ** (1.0 / (2 * n - 1)) if n > 1 else 1.0]
+                  for top in np.abs(J).max(axis=1)])
     powers = c ** -np.arange(2 * n, dtype=float)
     r = np.arange(n)
-    H = (J[:2 * n] * powers)[np.add.outer(r, r)].astype(complex)
-    rhs = (J[n:2 * n] * powers[n:2 * n]).astype(complex)
+    scaled = J * powers
+    H = scaled[:, np.add.outer(r, r)].astype(complex)
+    rhs = scaled[:, n:].astype(complex)
     x, rank = solve_least_squares(H, -rhs)
     e = x * c ** (n - np.arange(n, dtype=float))
-    return e, rank
+    return (e[0], int(rank[0])) if isinstance(parity, str) else (e, rank)
+
+
+def _as_stack(parity):
+    """The parities of a stack: a tuple of them, or one parity as a stack of one."""
+    return (parity,) if isinstance(parity, str) else tuple(parity)
 
 
 def _family_jumps(jumps, parity):
@@ -102,60 +115,65 @@ def _family_jumps(jumps, parity):
 def modes_from_symmetric(e, n):
     """Wavenumbers from the characteristic polynomial of the symmetric polys.
 
-    ``e`` is the stacked vector (e_n, ..., e_1). The polynomial is
-    lambda^n - e_1 lambda^(n-1) + ... + (-1)^n e_n; each root lambda_j is a
-    squared wavenumber, mapped through the principal square root.
+    ``e`` is the vector (e_n, ..., e_1), or a stack of them, one per row.
+    The polynomial is lambda^n - e_1 lambda^(n-1) + ... + (-1)^n e_n; each
+    root lambda_j is a squared wavenumber, mapped through the principal
+    square root. The first row whose roots collapse raises DegenerateNodes.
     """
-    e = np.asarray(e, dtype=complex).ravel()
-    if e.size != n:
+    e = np.asarray(e, dtype=complex)
+    if e.shape[-1:] != (n,):
         raise ValueError("length of e must equal n")
     # Ascending coefficients: coefficient of lambda^j is (-1)^(n-j) e_(n-j).
-    coeffs = np.empty(n + 1, dtype=complex)
-    coeffs[n] = 1.0
-    coeffs[:n] = (-1.0) ** (n - np.arange(n)) * e
+    coeffs = np.empty(e.shape[:-1] + (n + 1,), dtype=complex)
+    coeffs[..., n] = 1.0
+    coeffs[..., :n] = np.array([(-1.0) ** (n - j) for j in range(n)]) * e
     lams = polynomial_roots(coeffs)
-    n_distinct = count_distinct(lams)
-    if n_distinct < n:
-        raise DegenerateNodes(
-            f"characteristic roots collapse to {n_distinct} distinct values",
-            n_distinct=n_distinct)
+    for row in lams.reshape(-1, n):
+        n_distinct = count_distinct(row)
+        if n_distinct < n:
+            raise DegenerateNodes(
+                f"characteristic roots collapse to {n_distinct} distinct values",
+                n_distinct=n_distinct)
     return complex_principal_sqrt(lams)
 
 
 def solve_mode_amplitudes(modes, jumps: JumpData, parity):
-    """Amplitudes from the transposed Vandermonde system in (i k)^2.
+    """Amplitudes from the transposed Vandermonde system in (i k)^2, per family of a stack.
 
     Sine family: w_j = 2 u_j sin(k_j pi); cosine family:
-    w_j = -2 u_j k_j sin(k_j pi). The returned vector contains the
-    unscaled amplitudes u_j (NaN marks modes dropped by the
-    near-harmonic, zero-wavenumber or denominator overflow guards).
+    w_j = -2 u_j k_j sin(k_j pi). ``modes`` holds one row of wavenumbers
+    per parity of the tuple ``parity``, or one vector for a single parity.
+    The result holds the unscaled amplitudes u_j in the same layout (NaN
+    marks modes dropped by the near-harmonic, zero-wavenumber or
+    denominator overflow guards).
     """
-    modes = np.asarray(modes, dtype=complex).ravel()
-    n = modes.size
-    J = _family_jumps(jumps, parity)
-    if J.size < n:
+    parities = _as_stack(parity)
+    modes = np.asarray(modes, dtype=complex).reshape(len(parities), -1)
+    n = modes.shape[1]
+    J = [_family_jumps(jumps, p) for p in parities]
+    if any(Jp.size < n for Jp in J):
         raise ValueError("not enough jumps for the amplitude system")
     nodes = -(modes ** 2)  # (i k)^2
-    w = solve_transposed_vandermonde(nodes, J[:n])
+    w = solve_transposed_vandermonde(nodes, np.array([Jp[:n] for Jp in J]))
+    cosine = [i for i, p in enumerate(parities) if p == "odd"]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = np.sin(modes * PI)
-        if parity == "even":
-            den = 2.0 * s
-            amps = w / den
-        else:
+        den = 2.0 * s
+        for i in cosine:
             # scalar products: numpy's array complex multiply may fuse
             # (FMA) and round differently from the scalar one
-            den = np.array([2.0 * k * s_j for k, s_j in zip(modes, s)], dtype=complex)
-            amps = -w / den
+            den[i] = [2.0 * k * s_j for k, s_j in zip(modes[i], s[i])]
+            w[i] = -w[i]
+        amps = w / den
     # |Im k| pi near or beyond ~710 overflows sin(k pi) or the denominator
     # 2 sin(k pi) / 2 k sin(k pi); such a mode would also overflow at the
     # ends of [-pi, pi], so drop it. A near-harmonic mode carries no jump
     # content, and the k=0 cosine is a constant, periodic: drop them too.
     drop = ~np.isfinite(den) | (np.abs(s) < NEAR_HARMONIC_TOL)
-    if parity != "even":
-        drop |= np.abs(modes) < NEAR_HARMONIC_TOL
+    for i in cosine:
+        drop[i] |= np.abs(modes[i]) < NEAR_HARMONIC_TOL
     amps[drop] = np.nan
-    return amps
+    return amps[0] if isinstance(parity, str) else amps
 
 
 def _pair_conjugates(modes, amps):
@@ -186,49 +204,75 @@ def _pair_conjugates(modes, amps):
     return modes, amps
 
 
-def _build_family(jumps, parity, n):
-    """Run symmetric-polys -> roots -> amplitudes with rank shrinking.
+def _fit_stack(jumps, parities, n):
+    """The (k, amplitude) pairs of each family of a stack, all fitted at n.
 
-    A rank-deficient Hankel solve keeps the full n and relies on the
-    minimum-norm solution: consistent deficient systems (fewer true modes
-    than n, or regularized zero jumps) then yield n distinct roots whose
-    spurious members carry negligible amplitude. The family only shrinks
-    when the characteristic roots actually collapse, which is the one case
-    the amplitude Vandermonde cannot absorb.
+    One Hankel solve, one rooting and one amplitude solve serve every
+    family of the stack. A family whose Hankel has rank 0 leaves the stack
+    with no modes. A rank-deficient Hankel solve keeps the full n and relies
+    on the minimum-norm solution: consistent deficient systems (fewer true
+    modes than n, or regularized zero jumps) then yield n distinct roots
+    whose spurious members carry negligible amplitude.
     """
-    J = _family_jumps(jumps, parity)
-    if np.abs(J[:2 * n]).max() <= EMPTY_FAMILY_TOL:
-        return ()
-    while n >= 1:
-        e, rank = solve_elementary_symmetric(jumps, parity, n)
-        if rank == 0:
-            return ()
+    e, rank = solve_elementary_symmetric(jumps, parities, n)
+    fits = [()] * len(parities)
+    live = [i for i, r in enumerate(rank.tolist()) if r]
+    if live:
+        modes = modes_from_symmetric(e[live], n)
+        amps = solve_mode_amplitudes(modes, jumps, tuple(parities[i] for i in live))
+        for i, k, a in zip(live, modes, amps):
+            keep = ~np.isnan(a)
+            fits[i] = tuple(zip(*_pair_conjugates(k[keep], a[keep])))
+    return fits
+
+
+def _fit_family(jumps, parity, n):
+    """One family as a stack of one, shrinking n when its roots collapse.
+
+    The family only shrinks when the characteristic roots or Vandermonde
+    nodes actually collapse, which is the one case the amplitude
+    Vandermonde cannot absorb; it is then fitted again at the number of
+    distinct values.
+    """
+    while True:
         try:
-            modes = modes_from_symmetric(e, n)
-            amps = solve_mode_amplitudes(modes, jumps, parity)
+            return _fit_stack(jumps, (parity,), n)[0]
         except DegenerateNodes as exc:
             if exc.n_distinct is None or exc.n_distinct >= n:
                 raise
             n = exc.n_distinct
-            continue
-        keep = ~np.isnan(amps)
-        modes, amps = _pair_conjugates(modes[keep], amps[keep])
-        return tuple(zip(modes, amps))
-    return ()
 
 
 def build_aperiodic_model(jumps: JumpData, n):
     """Fit sine and cosine mode families to 4n endpoint jumps.
 
-    The families shrink independently when their Hankel matrices are
-    rank-deficient; the worst case is an empty (pure-periodic) model.
+    Both families are fitted as one stack of two. A family whose jumps all
+    sit at the regularization floor is periodic to machine precision and
+    gets no modes; a lone live family is a stack of one. When the stack
+    raises (collapsing roots that shrink a family, a failed root check),
+    each family is fitted again alone, sine first: the families shrink
+    independently, and what is raised is the first failing family's error.
+    The worst case is an empty (pure-periodic) model.
     """
     n = integer_arg(n, "mode count n", 1)
     if jumps.q < 4 * n:
         raise ValueError(f"need q = 4n = {4 * n} jumps, have {jumps.q}")
-    sine = _build_family(jumps, "even", n)
-    cosine = _build_family(jumps, "odd", n)
-    return AperiodicModel(sine_modes=sine, cosine_modes=cosine)
+    # the largest |J| of each family: columns of (J_0, J_1), (J_2, J_3), ...;
+    # "not <=": NaN jumps keep their family live, and it fails in the fit
+    tops = np.abs(jumps.J[:4 * n].reshape(2 * n, 2)).max(axis=0).tolist()
+    live = tuple(p for p, top in zip(("even", "odd"), tops) if not top <= EMPTY_FAMILY_TOL)
+    fits = None
+    if len(live) == 2:
+        try:
+            fits = _fit_stack(jumps, live, n)
+        except Exception:
+            # replayed one family at a time below, which raises it again
+            # from the family that raised first in family order
+            pass
+    if fits is None:
+        fits = [_fit_family(jumps, p, n) for p in live]
+    modes = dict(zip(live, fits))
+    return AperiodicModel(sine_modes=modes.get("even", ()), cosine_modes=modes.get("odd", ()))
 
 
 def _mode_terms(model, order):

@@ -32,27 +32,33 @@ class DegenerateNodes(ValueError):
 
 
 def solve_least_squares(A, b):
-    """Minimum-norm least-squares solution of A x = b via SVD.
+    """Minimum-norm least-squares solution of A x = b via SVD, for a matrix or a stack.
 
     Singular values below ``max(rows, cols) * RANK_TOL_FACTOR * sigma_max``
     are treated as zero.
 
-    Returns ``(x, rank)`` where rank is the numerical rank used.
+    Returns ``(x, rank)`` where rank is the numerical rank used. A stack
+    of matrices A (..., m, k) with right-hand sides b (..., m) gives x
+    (..., k) and an integer array of ranks, each member as if solved alone.
     """
     A = np.atleast_2d(np.asarray(A, dtype=complex))
-    b = np.asarray(b, dtype=complex).ravel()
-    if A.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, b has length {b.shape[0]}")
+    b = np.asarray(b, dtype=complex)
+    if A.ndim == 2:
+        b = b.ravel()
+    if b.shape != A.shape[:-1]:
+        raise ValueError(f"dimension mismatch: A is {A.shape}, b has shape {b.shape}")
 
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(A.shape[1], dtype=complex), 0
-    keep = s >= max(A.shape) * RANK_TOL_FACTOR * s[0]
-    rank = int(np.count_nonzero(keep))
-    inv_s = np.zeros(s.size)
-    inv_s[keep] = 1.0 / s[keep]
-    x = Vh.conj().T @ (inv_s * (U.conj().T @ b))
-    return x, rank
+    top = s[..., :1]
+    keep = (s >= max(A.shape[-2:]) * RANK_TOL_FACTOR * top) & (top > 0.0)
+    rank = keep.sum(axis=-1)
+    inv_s = np.divide(1.0, s, out=np.zeros(s.shape), where=keep)
+    Uh = U.conj().swapaxes(-1, -2)
+    V = Vh.conj().swapaxes(-1, -2)
+    x = (V @ (inv_s[..., None] * (Uh @ b[..., None])))[..., 0]
+    if np.count_nonzero(rank) < rank.size:
+        x[rank == 0] = 0.0
+    return (x, int(rank)) if A.ndim == 2 else (x, rank)
 
 
 def polynomial_roots(coeffs):
@@ -65,75 +71,95 @@ def polynomial_roots(coeffs):
     type: real coefficients get a real companion, whose non-real roots come
     in exact conjugate pairs, and complex ones a complex companion. Degree-0
     input is rejected.
+
+    A stack of coefficient rows (..., n + 1) gives roots (..., n), each row
+    as if rooted alone: rows with as many vanishing low-order coefficients
+    share one eigensolve, and a failed residual check raises the error of
+    the first row that fails.
     """
-    c = np.asarray(coeffs).ravel()
+    c = np.asarray(coeffs)
     c = c.astype(complex if np.iscomplexobj(c) else float, copy=False)
-    if c.size < 2:
+    if c.ndim == 0 or c.shape[-1] < 2:
         raise ValueError("polynomial degree must be >= 1")
-    if c[-1] == 0:
+    shape = c.shape[:-1] + (c.shape[-1] - 1,)
+    c = c.reshape(-1, c.shape[-1])
+    rows, n = c.shape[0], c.shape[1] - 1
+    if np.count_nonzero(c[:, -1]) < rows:
         raise ValueError("leading coefficient must be nonzero")
-    p = c[::-1]
-    zeros = 0
-    while c[zeros] == 0:
-        zeros += 1
-    d = c.size - zeros - 1
-    if d:
-        companion = np.zeros((d, d), dtype=c.dtype)
-        companion[0] = -p[1:d + 1] / p[0]
-        companion.flat[d::d + 1] = 1.0
-        # a real companion gives float roots when every root is real
-        roots = np.linalg.eigvals(companion).astype(complex, copy=False)
-    else:
-        roots = np.empty(0, dtype=complex)
-    if zeros:
-        roots = np.concatenate([roots, np.zeros(zeros, dtype=complex)])
-    scale = np.abs(c).max()
+    p = c[:, ::-1]
+    zeros = np.argmax(c != 0, axis=1).tolist() if np.count_nonzero(c[:, 0]) < rows else [0]
+    roots = np.zeros((rows, n), dtype=complex)
+    for z in set(zeros):
+        d = n - z
+        if d:
+            group = np.equal(zeros, z) if len(zeros) > 1 else slice(None)
+            companion = np.zeros((len(roots[group]), d, d), dtype=c.dtype)
+            companion[:, 0] = -p[group, 1:d + 1] / p[group, :1]
+            companion.reshape(-1, d * d)[:, d::d + 1] = 1.0
+            # a real companion gives float roots when every root is real
+            roots[group, :d] = np.linalg.eigvals(companion)
+    scale = np.abs(c).max(axis=1, keepdims=True)
     # All roots are checked at once, by numpy.polyval's Horner steps. numpy's
     # array abs and power may round the last bit differently from scalar abs
     # and pow, so a per-root scalar check could only disagree on a residual
     # within an ulp of its bound.
-    value = np.zeros(roots.size, dtype=complex)
-    for coefficient in p.tolist():
+    value = np.zeros(roots.shape, dtype=complex)
+    for coefficient in p.T[..., None]:
         value = value * roots + coefficient
     residual = np.abs(value)
-    bound = ROOT_RESIDUAL_TOL * scale * np.maximum(1.0, np.abs(roots)) ** (c.size - 1)
+    bound = ROOT_RESIDUAL_TOL * scale * np.maximum(1.0, np.abs(roots)) ** n
     bad = residual > bound
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
+    if np.count_nonzero(bad):
+        row, i = np.argwhere(bad)[0]
         raise ArithmeticError(
-            f"root {i} residual {residual[i]:.3e} exceeds bound {bound[i]:.3e}")
-    return roots
+            f"root {i} residual {residual[row, i]:.3e} exceeds bound {bound[row, i]:.3e}")
+    return roots.reshape(shape)
 
 
 def vandermonde_matrix(nodes):
-    """Transposed Vandermonde matrix: row i holds nodes**i."""
-    nodes = np.asarray(nodes, dtype=complex).ravel()
-    n = nodes.size
-    return np.vander(nodes, n, increasing=True).T
+    """Transposed Vandermonde matrix: row i holds nodes**i; one per row of a stack of nodes."""
+    nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
+    n = nodes.shape[-1]
+    V = np.empty(nodes.shape[:-1] + (n, n), dtype=complex)
+    # the powers by repeated products, as numpy.vander forms them
+    V[..., :1, :] = 1.0
+    V[..., 1:, :] = nodes[..., None, :]
+    np.multiply.accumulate(V[..., 1:, :], axis=-2, out=V[..., 1:, :])
+    return V
 
 
 def solve_transposed_vandermonde(nodes, rhs):
-    """Solve V w = rhs where V[i, j] = nodes[j]**i.
+    """Solve V w = rhs where V[i, j] = nodes[j]**i, for one node vector or a stack.
 
     Signals DegenerateNodes when two nodes coincide within relative 1e-8;
     the caller is expected to shrink the mode count. Falls back to the
-    pseudoinverse if the direct solve fails.
+    pseudoinverse if the direct solve fails. A stack of node rows (..., n)
+    and right-hand sides (..., n) is solved row by row as if alone: the
+    first row with coinciding nodes raises, and only a singular row takes
+    the pseudoinverse.
     """
-    nodes = np.asarray(nodes, dtype=complex).ravel()
-    rhs = np.asarray(rhs, dtype=complex).ravel()
-    if nodes.size != rhs.size:
+    nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
+    rhs = np.atleast_1d(np.asarray(rhs, dtype=complex))
+    if nodes.shape != rhs.shape:
         raise ValueError("nodes and rhs must have equal length")
-    n_distinct = count_distinct(nodes)
-    if n_distinct < nodes.size:
-        raise DegenerateNodes(
-            f"only {n_distinct} of {nodes.size} nodes are distinct",
-            n_distinct=n_distinct)
-    V = vandermonde_matrix(nodes)
+    for row in nodes.reshape(-1, nodes.shape[-1]):
+        n_distinct = count_distinct(row)
+        if n_distinct < row.size:
+            raise DegenerateNodes(
+                f"only {n_distinct} of {row.size} nodes are distinct",
+                n_distinct=n_distinct)
+    return _solve_or_least_squares(vandermonde_matrix(nodes), rhs)
+
+
+def _solve_or_least_squares(V, rhs):
     try:
-        return np.linalg.solve(V, rhs)
+        return np.linalg.solve(V, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        x, _ = solve_least_squares(V, rhs)
-        return x
+        if V.ndim == 2:
+            return solve_least_squares(V, rhs)[0]
+    # one singular member fails the whole stack's solve: solve member by
+    # member, so that the others keep the direct solution
+    return np.stack([_solve_or_least_squares(v, r) for v, r in zip(V, rhs)])
 
 
 def count_distinct(values):
@@ -146,7 +172,7 @@ def count_distinct(values):
 
 
 def complex_principal_sqrt(z):
-    """Principal complex square root, Re(w) >= 0, of a number or elementwise of an array.
+    """Principal complex square root, Re(w) >= 0, of a number or elementwise of an array or stack.
 
     Branch: sqrt(|z|) * exp(i*theta/2) with theta in [-pi, pi]; values on
     the negative real axis map to +i*sqrt(|z|). A number gives a complex

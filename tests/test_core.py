@@ -455,13 +455,15 @@ class TestFitSameBitsAsBefore:
 
     def test_hand_built_jumps_reach_their_branch(self, monkeypatch):
         # the double roots make both families retry with a smaller n; the
-        # zero Hankel matrices end both families at rank 0
+        # zero Hankel matrices end both families at rank 0. A stacked solve
+        # records one entry per family.
         import gfs.core
         solves = []
 
         def recording(jumps, parity, n):
             e, rank = solve_elementary_symmetric(jumps, parity, n)
-            solves.append((parity, n, rank))
+            parities = (parity,) if isinstance(parity, str) else parity
+            solves.extend((p, n, r) for p, r in zip(parities, np.atleast_1d(rank).tolist()))
             return e, rank
 
         monkeypatch.setattr(gfs.core, "solve_elementary_symmetric", recording)
