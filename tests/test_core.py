@@ -413,6 +413,24 @@ def double_root_jumps(lam_even, lam_odd, n):
     return JumpData(J=J)
 
 
+def family_jumps(even, odd):
+    """Interleave the even (sine) and odd (cosine) family jumps."""
+    J = np.empty(2 * len(even))
+    J[0::2], J[1::2] = even, odd
+    return JumpData(J=J)
+
+
+# Six even-order jumps whose characteristic roots fail the residual check at n = 3
+# (root 1 residual 4.4e55, bound 4.4e47), with no RuntimeWarning on the way.
+FAILING_ROOTS = [6.734377484196043e-299, -4.5702312948110327e-181, 6.066665064020923e+241,
+                 -4.633285994507761e+278, -8.306934118455917e-47, 2.683387503507062e+297]
+# Six jumps (m + 1) lam^m: a double root, which collapses at n = 3
+DOUBLE_ROOT = [(m + 1) * (-0.3) ** m for m in range(6)]
+# Six jumps C(m + 2, 2) lam^m: a triple root, whose rooting spreads it into
+# three distinct values at n = 3
+TRIPLE_ROOT = [math.comb(m + 2, 2) * (-0.33) ** m for m in range(6)]
+
+
 HAND_BUILT_JUMPS = {
     # collapsing characteristic roots: both families shrink, n -> n-1 -> ...
     "double_root_n2": (double_root_jumps(-0.3, -0.33, 2), 2),
@@ -422,6 +440,16 @@ HAND_BUILT_JUMPS = {
     # the sine family below EMPTY_FAMILY_TOL, the cosine family not
     "empty_sine_family": (JumpData(J=np.array([1e-14, 0.3, -1e-14, -0.2, 5e-14, 0.4,
                                                1e-15, -0.1])), 2),
+    "empty_cosine_family": (JumpData(J=np.array([0.3, 1e-14, -0.2, -1e-14, 0.4, 5e-14,
+                                                 -0.1, 1e-15])), 2),
+    # the stack of two breaks up: the sine family shrinks to n = 2, the
+    # cosine family keeps n = 3 (double_root_n3 shrinks both, to 2 and 1)
+    "sine_shrinks_cosine_keeps_n": (family_jumps(DOUBLE_ROOT, TRIPLE_ROOT), 3),
+    # the sine roots fail their residual check while the cosine family
+    # would shrink: the sine family's ArithmeticError is raised
+    "sine_roots_fail_cosine_shrinks": (family_jumps(FAILING_ROOTS, DOUBLE_ROOT), 3),
+    # the sine family shrinks and fits; then the cosine roots fail
+    "cosine_roots_fail_sine_shrinks": (family_jumps(DOUBLE_ROOT, FAILING_ROOTS), 3),
     "all_regularized": (JumpData(J=np.full(12, 1e-15)), 3),
     "too_few_jumps": (JumpData(J=np.ones(6)), 2),
     "no_modes": (JumpData(J=np.ones(8)), 0),
@@ -472,6 +500,58 @@ class TestFitSameBitsAsBefore:
         solves.clear()
         assert build_aperiodic_model(*HAND_BUILT_JUMPS["rank_zero"]).empty
         assert solves == [("even", 2, 0), ("odd", 2, 0)]
+        solves.clear()
+        model = build_aperiodic_model(*HAND_BUILT_JUMPS["sine_shrinks_cosine_keeps_n"])
+        assert (len(model.sine_modes), len(model.cosine_modes)) == (2, 3)
+        assert ("even", 2) in {(p, n) for p, n, _ in solves}
+        assert ("odd", 2) not in {(p, n) for p, n, _ in solves}
+        for name in ("sine_roots_fail_cosine_shrinks", "cosine_roots_fail_sine_shrinks"):
+            with pytest.raises(ArithmeticError, match="root 1 residual 4.423e[+]55"):
+                build_aperiodic_model(*HAND_BUILT_JUMPS[name])
+        # the cosine family alone shrinks, so the raise above is the sine family's
+        jumps, n = HAND_BUILT_JUMPS["sine_roots_fail_cosine_shrinks"]
+        solves.clear()
+        build_aperiodic_model(JumpData(J=np.where(np.arange(jumps.q) % 2, jumps.J, 0.0)), n)
+        assert ("odd", 2) in {(p, n) for p, n, _ in solves}
+
+    def test_vandermonde_singular_in_one_family(self, monkeypatch):
+        # numpy's stacked solve raises when any member is singular; here the
+        # cosine family's Vandermonde (positive nodes: imaginary k) reports
+        # singular, so that family alone takes the pseudoinverse, before and
+        # after the families were stacked
+        solve = np.linalg.solve
+        singular = []
+
+        def reporting_solve(a, b):
+            nodes = np.asarray(a)[..., 1, :]
+            if np.any(np.all(nodes.real > 0.0, axis=-1)):
+                singular.append(nodes)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", reporting_solve)
+        # J_m = sum w nu^m: nodes nu = -0.25, -1.44 (sine), 0.36, 2.25 (cosine)
+        m = np.arange(4)
+        jumps = family_jumps(1.0 * (-0.25) ** m + 0.7 * (-1.44) ** m,
+                             0.8 * 0.36 ** m - 0.5 * 2.25 ** m)
+        assert_same_fit(jumps, 2)
+        # the stacked solve and the lone cosine solve both reported singular
+        assert {nodes.ndim for nodes in singular} == {1, 2}
+        model = build_aperiodic_model(jumps, 2)
+        assert len(model.sine_modes) == len(model.cosine_modes) == 2
+
+
+class TestStackedFit:
+    def test_one_call_per_linalg_routine_when_both_families_are_live(self, monkeypatch):
+        calls = {}
+        for name in ("svd", "eigvals", "solve"):
+            def counting(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        model = build_aperiodic_model(jumps_from_analytic(get_function("gaussian"), 12), 3)
+        assert len(model.sine_modes) == len(model.cosine_modes) == 3
+        assert calls == {"svd": 1, "eigvals": 1, "solve": 1}
 
     def test_random_jumps(self):
         rng = np.random.default_rng(3)

@@ -182,3 +182,131 @@ class TestPrincipalSqrt:
 def test_count_distinct():
     assert count_distinct(np.array([1.0, 1.0 + 1e-12, 2.0])) == 2
     assert count_distinct(np.array([1.0, 2.0, 3.0])) == 3
+
+
+# ---------------------------------------------------------------------------
+# A stack gives each member the bits, or the exception, that the member gets
+# alone: numpy runs stacked LAPACK calls and elementwise ufuncs member by
+# member, and a stack that fails raises the first failing member's error.
+
+# Distinct nodes base * (1 + step j), j < n, whose Vandermonde matrix LAPACK
+# reports singular: the direct solve fails and the pseudoinverse takes over.
+SINGULAR_NODES = {3: (1e15, 1.01e-8), 4: (1e58, 2.02e-8), 5: (1e25, 1.01e-8)}
+
+
+def parts(out):
+    return tuple(map(np.asarray, out if isinstance(out, tuple) else (out,)))
+
+
+def outcome(f, *args):
+    """The bytes of every output array, or the exception's type and message."""
+    try:
+        out = parts(f(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple((a.dtype, a.shape, a.tobytes()) for a in out)
+
+
+def assert_stack_equals_members(f, *stacks):
+    """f on the stacks equals f on each member, bit for bit, or raises the first member's error."""
+    members = [outcome(f, *member) for member in zip(*stacks)]
+    errors = [m for m in members if isinstance(m[0], type)]
+    if errors:
+        assert outcome(f, *stacks) == errors[0]
+        return
+    stacked = parts(f(*stacks))
+    for i, member in enumerate(members):
+        assert tuple((a.dtype, a.shape[1:], a[i].tobytes()) for a in stacked) == member, i
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def stack_of(kinds):
+    return st.lists(st.sampled_from(kinds), min_size=1, max_size=4)
+
+
+class TestStackEqualsMembers:
+    @given(stack_of(["full", "rank_deficient", "zero", "real"]), st.integers(1, 5),
+           st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_solve_least_squares(self, kinds, m, k, seed):
+        rng = np.random.default_rng(seed)
+        A = random_complex(rng, (len(kinds), m, k)) * 10.0 ** rng.uniform(-3, 3)
+        for i, kind in enumerate(kinds):
+            if kind == "rank_deficient":
+                r = int(rng.integers(0, min(m, k)))
+                A[i] = random_complex(rng, (m, r)) @ random_complex(rng, (r, k))
+            elif kind == "zero":
+                A[i] = 0.0
+            elif kind == "real":
+                A[i] = A[i].real
+        b = random_complex(rng, (len(kinds), m))
+        assert_stack_equals_members(solve_least_squares, A, b)
+        if "rank_deficient" in kinds or "zero" in kinds:
+            assert min(solve_least_squares(A, b)[1]) < min(m, k)
+
+    @given(stack_of(["generic", "zero_constant", "zero_roots"]), st.integers(1, 6), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_polynomial_roots(self, kinds, n, real, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((len(kinds), n + 1)) * 10.0 ** rng.uniform(-2, 2, (len(kinds), 1))
+        if not real:
+            c = c + 1j * rng.standard_normal(c.shape)
+        for i, kind in enumerate(kinds):
+            if kind == "zero_constant":
+                c[i, 0] = 0.0  # one zero root
+            elif kind == "zero_roots":
+                c[i, :int(rng.integers(1, n + 1))] = 0.0  # as many zero roots
+        assert_stack_equals_members(polynomial_roots, c)
+
+    def test_polynomial_roots_raise_the_first_failing_row(self):
+        # the bad row's two small roots come out as exact zeros (see above)
+        bad = np.array([8e32, -7e31, -7e30, 1e-16, -1e-39])
+        good = np.poly([0.5, 1.5, -2.0, 3.0])[::-1]
+        for rows in ([good, bad], [bad, good], [bad, 2 * bad]):
+            assert_stack_equals_members(polynomial_roots, np.array(rows))
+        with pytest.raises(ArithmeticError):
+            polynomial_roots(np.array([good, bad]))
+
+    @given(stack_of(["generic", "singular", "duplicate"]), st.sampled_from(sorted(SINGULAR_NODES)),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_solve_transposed_vandermonde(self, kinds, n, seed):
+        rng = np.random.default_rng(seed)
+        nodes = random_complex(rng, (len(kinds), n)) * 10.0 ** rng.uniform(-1, 1, (len(kinds), 1))
+        for i, kind in enumerate(kinds):
+            if kind == "singular":
+                base, step = SINGULAR_NODES[n]
+                nodes[i] = base * (1 + step * np.arange(n))
+            elif kind == "duplicate":
+                nodes[i, 1] = nodes[i, 0]
+        rhs = random_complex(rng, (len(kinds), n))
+        assert_stack_equals_members(solve_transposed_vandermonde, nodes, rhs)
+
+    def test_singular_member_alone_takes_the_pseudoinverse(self, monkeypatch):
+        base, step = SINGULAR_NODES[3]
+        nodes = np.array([[-0.25, -1.44, -3.1], base * (1 + step * np.arange(3))], dtype=complex)
+        rhs = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], dtype=complex)
+        pseudoinverse = []
+        real = solve_least_squares
+        monkeypatch.setattr("gfs.linalg.solve_least_squares",
+                            lambda A, b: pseudoinverse.append(np.shape(A)) or real(A, b))
+        w = solve_transposed_vandermonde(nodes, rhs)
+        assert pseudoinverse == [(3, 3)]
+        np.testing.assert_array_equal(w[0], np.linalg.solve(vandermonde_matrix(nodes[0]), rhs[0]))
+
+    @given(st.lists(st.tuples(st.sampled_from([-4.0, -1.0, -0.0, 0.0, 2.0, 1e-300, 3.7]),
+                              st.sampled_from([-0.0, 0.0, -2.5, 1e-300, 1.0])),
+                    min_size=1, max_size=12), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_complex_principal_sqrt(self, values, rows):
+        z = np.array([complex(re, im) for re, im in values] * rows).reshape(rows, -1)
+        assert_stack_equals_members(complex_principal_sqrt, z)
+
+    def test_vandermonde_matrix_as_numpy_vander(self):
+        nodes = random_complex(np.random.default_rng(7), (3, 5))
+        for row, V in zip(nodes, vandermonde_matrix(nodes)):
+            assert V.tobytes() == np.vander(row, 5, increasing=True).T.copy().tobytes()
