@@ -1,16 +1,22 @@
 """Aperiodic/periodic decomposition via non-harmonic sine and cosine modes.
 
-Pipeline per mode family (sine <- even jumps, cosine <- odd jumps):
+The two mode families (sine <- even jumps, cosine <- odd jumps) of a signal
+are fitted as one stack; each stage runs once on the stack and gives every
+family the bits it would get alone:
 
-1. Solve the Hankel system of jumps for the elementary symmetric
-   polynomials of the squared wavenumbers (pseudoinverse; the matrix is
-   legitimately rank-deficient for simple inputs, in which case the family
-   shrinks to the numerical rank).
-2. Root the characteristic polynomial; each root is a squared wavenumber,
-   mapped to a mode by the principal complex square root.
-3. Solve the transposed Vandermonde system in (i k)^2 for the scaled
-   amplitudes, then unscale through 2 sin(k pi) (sine) or
+1. Solve the Hankel systems of jumps for the elementary symmetric
+   polynomials of the squared wavenumbers (one SVD for the stack; a
+   rank-deficient Hankel keeps the minimum-norm solution, and a family of
+   rank 0 leaves the stack with no modes).
+2. Root the characteristic polynomials (one eigensolve); each root is a
+   squared wavenumber, mapped to a mode by the principal complex square
+   root.
+3. Solve the transposed Vandermonde systems in (i k)^2 for the scaled
+   amplitudes (one solve), then unscale through 2 sin(k pi) (sine) or
    -2 k sin(k pi) (cosine).
+
+A family whose characteristic roots collapse shrinks to the number of
+distinct roots and is fitted again alone, as a stack of one.
 
 Modes within floating-point distance of an integer carry no jump
 information (sin(k pi) ~ 0) and are dropped; their content is

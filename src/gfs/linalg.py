@@ -166,7 +166,8 @@ def count_distinct(values):
     """Number of values left after merging those within DUPLICATE_NODE_TOL (relative)."""
     kept = []
     for v in np.asarray(values, dtype=complex).ravel().tolist():
-        if all(abs(v - u) / max(1.0, abs(v)) >= DUPLICATE_NODE_TOL for u in kept):
+        scale = max(1.0, abs(v))
+        if all(abs(v - u) / scale >= DUPLICATE_NODE_TOL for u in kept):
             kept.append(v)
     return len(kept)
 
