@@ -223,12 +223,14 @@ def _fit_stack(jumps, parities, n):
     e, rank = solve_elementary_symmetric(jumps, parities, n)
     fits = [()] * len(parities)
     live = [i for i, r in enumerate(rank.tolist()) if r]
+    if len(live) < len(parities):
+        e, parities = e[live], tuple(parities[i] for i in live)
     if live:
-        modes = modes_from_symmetric(e[live], n)
-        amps = solve_mode_amplitudes(modes, jumps, tuple(parities[i] for i in live))
-        for i, k, a in zip(live, modes, amps):
-            keep = ~np.isnan(a)
-            fits[i] = tuple(zip(*_pair_conjugates(k[keep], a[keep])))
+        modes = modes_from_symmetric(e, n)
+        amps = solve_mode_amplitudes(modes, jumps, parities)
+        keep = ~np.isnan(amps)
+        for i, k, a, kept in zip(live, modes, amps, keep):
+            fits[i] = tuple(zip(*_pair_conjugates(k[kept], a[kept])))
     return fits
 
 

@@ -87,14 +87,17 @@ def polynomial_roots(coeffs):
     if np.count_nonzero(c[:, -1]) < rows:
         raise ValueError("leading coefficient must be nonzero")
     p = c[:, ::-1]
-    zeros = np.argmax(c != 0, axis=1).tolist() if np.count_nonzero(c[:, 0]) < rows else [0]
+    # the number of vanishing low-order coefficients of each row
+    zeros = np.argmax(c != 0, axis=1).tolist() if np.count_nonzero(c[:, 0]) < rows else [0] * rows
     roots = np.zeros((rows, n), dtype=complex)
-    for z in set(zeros):
+    counts = set(zeros)
+    for z in counts:
         d = n - z
         if d:
-            group = np.equal(zeros, z) if len(zeros) > 1 else slice(None)
-            companion = np.zeros((len(roots[group]), d, d), dtype=c.dtype)
-            companion[:, 0] = -p[group, 1:d + 1] / p[group, :1]
+            group = slice(None) if len(counts) == 1 else np.equal(zeros, z)
+            lead = p[group, :1]
+            companion = np.zeros((len(lead), d, d), dtype=c.dtype)
+            companion[:, 0] = -p[group, 1:d + 1] / lead
             companion.reshape(-1, d * d)[:, d::d + 1] = 1.0
             # a real companion gives float roots when every root is real
             roots[group, :d] = np.linalg.eigvals(companion)

@@ -450,6 +450,8 @@ HAND_BUILT_JUMPS = {
     "sine_roots_fail_cosine_shrinks": (family_jumps(FAILING_ROOTS, DOUBLE_ROOT), 3),
     # the sine family shrinks and fits; then the cosine roots fail
     "cosine_roots_fail_sine_shrinks": (family_jumps(DOUBLE_ROOT, FAILING_ROOTS), 3),
+    # both families fail, each with its own message: the sine family's is raised
+    "both_families_fail": (family_jumps(FAILING_ROOTS, [0.1 * J for J in FAILING_ROOTS]), 3),
     "all_regularized": (JumpData(J=np.full(12, 1e-15)), 3),
     "too_few_jumps": (JumpData(J=np.ones(6)), 2),
     "no_modes": (JumpData(J=np.ones(8)), 0),
@@ -505,9 +507,11 @@ class TestFitSameBitsAsBefore:
         assert (len(model.sine_modes), len(model.cosine_modes)) == (2, 3)
         assert ("even", 2) in {(p, n) for p, n, _ in solves}
         assert ("odd", 2) not in {(p, n) for p, n, _ in solves}
-        for name in ("sine_roots_fail_cosine_shrinks", "cosine_roots_fail_sine_shrinks"):
-            with pytest.raises(ArithmeticError, match="root 1 residual 4.423e[+]55"):
+        for name in ("sine_roots_fail_cosine_shrinks", "cosine_roots_fail_sine_shrinks",
+                     "both_families_fail"):
+            with pytest.raises(ArithmeticError) as exc:
                 build_aperiodic_model(*HAND_BUILT_JUMPS[name])
+            assert str(exc.value) == "root 1 residual 4.423e+55 exceeds bound 4.423e+47"
         # the cosine family alone shrinks, so the raise above is the sine family's
         jumps, n = HAND_BUILT_JUMPS["sine_roots_fail_cosine_shrinks"]
         solves.clear()
