@@ -265,17 +265,17 @@ def build_aperiodic_model(jumps: JumpData, n):
     n = integer_arg(n, "mode count n", 1)
     if jumps.q < 4 * n:
         raise ValueError(f"need q = 4n = {4 * n} jumps, have {jumps.q}")
-    # the largest |J| of each family: columns of (J_0, J_1), (J_2, J_3), ...;
-    # "not <=": NaN jumps keep their family live, and it fails in the fit
+    # the largest |J| of each family: the columns of (J_0, J_1), (J_2, J_3), ...
     tops = np.abs(jumps.J[:4 * n].reshape(2 * n, 2)).max(axis=0).tolist()
-    live = tuple(p for p, top in zip(("even", "odd"), tops) if not top <= EMPTY_FAMILY_TOL)
+    live = tuple(p for p, top in zip(("even", "odd"), tops) if top > EMPTY_FAMILY_TOL)
     fits = None
     if len(live) == 2:
         try:
             fits = _fit_stack(jumps, live, n)
         except Exception:
-            # replayed one family at a time below, which raises it again
-            # from the family that raised first in family order
+            # the families are fitted again one at a time below, sine
+            # first: a family whose roots collapsed shrinks, and the error
+            # raised is that of the first family that fails
             pass
     if fits is None:
         fits = [_fit_family(jumps, p, n) for p in live]
