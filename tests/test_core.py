@@ -545,6 +545,15 @@ class TestFitSameBitsAsBefore:
         assert len(model.sine_modes) == len(model.cosine_modes) == 2
 
 
+    def test_random_jumps(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            J = rng.standard_normal(4 * n) * rng.uniform(0.05, 40.0) ** np.arange(4 * n)
+            J[rng.integers(0, 4 * n, int(rng.integers(0, 3)))] = 0.0
+            assert_same_fit(JumpData(J=J), n)
+
+
 class TestStackedFit:
     def test_one_call_per_linalg_routine_when_both_families_are_live(self, monkeypatch):
         calls = {}
@@ -556,14 +565,6 @@ class TestStackedFit:
         model = build_aperiodic_model(jumps_from_analytic(get_function("gaussian"), 12), 3)
         assert len(model.sine_modes) == len(model.cosine_modes) == 3
         assert calls == {"svd": 1, "eigvals": 1, "solve": 1}
-
-    def test_random_jumps(self):
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            n = int(rng.integers(1, 6))
-            J = rng.standard_normal(4 * n) * rng.uniform(0.05, 40.0) ** np.arange(4 * n)
-            J[rng.integers(0, 4 * n, int(rng.integers(0, 3)))] = 0.0
-            assert_same_fit(JumpData(J=J), n)
 
 
 # Q_0..Q_3 = sin, cos, -sin, -cos as (sign, wave): the order-m derivative of
