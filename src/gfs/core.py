@@ -21,6 +21,11 @@ distinct roots and is fitted again alone, as a stack of one.
 Modes within floating-point distance of an integer carry no jump
 information (sin(k pi) ~ 0) and are dropped; their content is
 representable by the periodic FFT part.
+
+A decomposition owns its grid's nodes on [-pi, pi] and, on long grids,
+the order-independent waves of its model's blocked mode sum
+(``ModeWaves``): sin and cos of k at the block starts and inside a block.
+Every derivative order is evaluated from that one set of waves.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ EMPTY_FAMILY_TOL = 1e-13
 # Allowed imaginary leakage when evaluating the (formally real) model.
 REALNESS_TOL = 1e-10
 
-# Grid nodes given with their step take the blocked mode product of
-# evaluate_aperiodic from this many points on; fewer take the direct waves.
+# A decomposition makes the waves of the blocked mode product for grids of
+# this many nodes on; fewer take the direct waves.
 BLOCK_MIN_POINTS = 2049
 
 
@@ -326,53 +331,105 @@ def _mode_loop(terms, x):
     return total
 
 
-def _mode_product(terms, x, h, B):
-    """The mode sum at uniform nodes x_j ~ x_0 + j h as one product.
-
-    With x_(mB+r) ~ x_(mB) + r h, the addition theorem makes the sum over
-    all J terms at the M whole blocks of B points A @ W: W (2J x B) holds
-    cos(k r h) and sin(k r h) of each term, and A (M x 2J) c sin(k x_(mB))
-    and c cos(k x_(mB)) for a sine term, c cos(k x_(mB)) and
-    -c sin(k x_(mB)) for a cosine term. The points after the last whole
-    block are one more block start's row of A against the first columns of
-    W. A paired term adds 2 Re of its product, so a sum of pairs alone is a
-    float array.
-    """
-    n = sum(terms[3])
+def _pairs_first(terms):
+    """The terms' columns k, c and cos with the exact pairs first, and the number of pairs."""
     pairs_first = np.argsort(np.logical_not(terms[3]), kind="stable")
     k, c, cos = (np.asarray(column)[pairs_first] for column in terms[:3])
-    M = x.size // B
+    return k, c, cos, sum(terms[3])
+
+
+@dataclass(frozen=True)
+class ModeWaves:
+    """The order-independent factors of the blocked mode sum at uniform nodes.
+
+    The nodes x_j ~ x_0 + j h of a grid (``GridSpec.standard_nodes()``,
+    step h) fall into blocks of B points, x_(mB+r) ~ x_(mB) + r h. For the
+    pairs-first wavenumbers k of a model's terms, ``sin_start`` and
+    ``cos_start`` hold sin and cos of k x_(mB) at every block start (a
+    last row starts the points after the whole blocks), and ``inner`` holds
+    cos(k r h) and sin(k r h), r < B, two rows per term, with the 2 ``pairs``
+    leading rows of exact pairs folded to (Re, -Im). Every derivative order
+    takes the same waves: only the coefficients c and the choice of sin or
+    cos change with it. All arrays are read-only.
+    """
+
+    nodes: np.ndarray
+    step: float
+    k: np.ndarray
+    pairs: int
+    block: int
+    sin_start: np.ndarray
+    cos_start: np.ndarray
+    inner: np.ndarray
+
+    def serve(self, k, pairs):
+        """Whether these waves are those of the pairs-first wavenumbers k with ``pairs`` pairs."""
+        return (pairs == self.pairs and k.dtype == self.k.dtype
+                and k.tobytes() == self.k.tobytes())
+
+
+def _block_waves(model, x, h, order=0):
+    """The waves of the blocked sum of the model's order-th terms at uniform nodes x, step h, or None.
+
+    One B serves all terms: isqrt(x.size), cut so that max|Im k| B h <= 1/2,
+    which bounds how far the cancelling products outgrow the waves. Fewer
+    than BLOCK_MIN_POINTS nodes, a non-1-D x, no terms, or B <= 1 give
+    None: the sum then takes one direct wave per term.
+    """
+    if x.ndim != 1 or x.size < BLOCK_MIN_POINTS:
+        return None
+    terms = _mode_terms(model, order)
+    if not terms[0]:
+        return None
+    B = math.isqrt(x.size)
+    im = max(abs(k.imag) for k in terms[0]) * h
+    if im * B > 0.5:
+        B = int(0.5 / im)
+    if B <= 1:
+        return None
+    k, _, _, pairs = _pairs_first(terms)
     start = np.multiply.outer(x[::B], k)
-    step = np.multiply.outer(k, h * np.arange(B))
-    s, co = np.sin(start), np.cos(start)
+    inner = np.multiply.outer(k, h * np.arange(B))
+    inner = np.stack([np.cos(inner), np.sin(inner)], axis=1).reshape(-1, B)
+    n = 2 * pairs
+    if n:
+        # a paired term adds Re(P Q) = (Re P, Im P) @ (Re Q, -Im Q); the
+        # waves are float when every term is paired
+        inner = np.concatenate([inner.real[:n], -inner.imag[:n]] + ([inner[n:]] if n < len(inner) else []))
+    waves = ModeWaves(x, h, k, pairs, B, np.sin(start), np.cos(start), inner)
+    for a in (k, waves.sin_start, waves.cos_start, inner):
+        a.flags.writeable = False
+    return waves
+
+
+def _mode_product(c, cos, waves):
+    """The mode sum at the waves' nodes as one product, for the pairs-first columns c and cos.
+
+    By the addition theorem the sum over all J terms at the M whole blocks
+    is A @ W, with W = ``waves.inner`` (2J x B) and A (M x 2J) holding
+    c sin(k x_(mB)) and c cos(k x_(mB)) for a sine term, c cos(k x_(mB))
+    and -c sin(k x_(mB)) for a cosine term. The points after the last whole
+    block are one more block start's row of A against the first columns of
+    W. A paired term enters as (Re A, Im A) against W's folded rows, so it
+    adds exactly nothing to the imaginary part, and a sum of pairs alone is
+    a float array.
+    """
+    s, co, W, B = waves.sin_start, waves.cos_start, waves.inner, waves.block
+    size = waves.nodes.size
+    M = size // B
     # the columns of A run the two of the first term, then of the next:
-    # the n pairs fill the first 2n
-    A = np.stack([c * np.where(cos, co, s), c * np.where(cos, -s, co)], axis=-1)
-    A, W = _fold_real(A.reshape(len(start), -1),
-                      np.stack([np.cos(step), np.sin(step)], axis=1).reshape(-1, B), 2 * n)
-    total = np.empty(x.size, dtype=A.dtype)
+    # the exact pairs fill the first 2 * pairs
+    A = np.stack([c * np.where(cos, co, s), c * np.where(cos, -s, co)], axis=-1).reshape(len(s), -1)
+    n = 2 * waves.pairs
+    if n:
+        A = np.hstack([A.real[:, :n], A.imag[:, :n]] + ([A[:, n:]] if n < A.shape[1] else []))
+    total = np.empty(size, dtype=A.dtype)
     np.matmul(A[:M], W, out=total[:M * B].reshape(M, B))
-    total[M * B:] = (A[M:] @ W[:, :x.size - M * B]).ravel()
+    total[M * B:] = (A[M:] @ W[:, :size - M * B]).ravel()
     return total
 
 
-def _fold_real(P, Q, n):
-    """Factors whose product is P @ Q with the terms of the first n columns of P cut to Re.
-
-    Those columns enter as the float pair (Re P, Im P) against
-    (Re Q, -Im Q), so they add exactly nothing to the imaginary part; the
-    factors are float when all columns of P are among them.
-    """
-    if n == 0:
-        return P, Q
-    P_, Q_ = [P.real[:, :n], P.imag[:, :n]], [Q.real[:n], -Q.imag[:n]]
-    if n < P.shape[1]:
-        P_.append(P[:, n:])
-        Q_.append(Q[n:])
-    return np.hstack(P_), np.concatenate(Q_)
-
-
-def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, step=None):
+def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, waves=None):
     """u_a or its analytic order-th derivative at x (scalar or array) on [-pi, pi].
 
     Every mode's term is c Q_t(k x) (``_mode_terms``): exact quarter turns
@@ -380,26 +437,26 @@ def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, step=None):
     member's term; any other imaginary part must stay below the realness
     tolerance, else RealnessViolation is raised.
 
-    Given ``step``, the spacing h of grid nodes x_j = x_0 + j h
-    (``GridSpec.standard_nodes()`` and ``.standard_step``), a 1-D x of at
-    least BLOCK_MIN_POINTS points takes the whole sum as one matrix product
-    (``_mode_product``) over blocks of B points: the waves of every term at
-    the block starts times cos and sin of k r h (r < B). One B serves all
-    terms: isqrt(x.size), cut so that max|Im k| B h <= 1/2, which bounds how
-    far the cancelling products outgrow the waves; B <= 1, and any other x,
-    take one direct wave per term. The product matches the direct sum
-    within about 16 eps sum |c| (1 + |k| pi) cosh(Im k pi).
+    Without ``waves`` every term takes one direct wave. Given the
+    ``ModeWaves`` of a grid (``GFSDecomposition.waves``), x must be their
+    nodes, else ValueError is raised; the whole sum is then one matrix
+    product (``_mode_product``) over blocks of B points: the waves of every
+    term at the block starts times cos and sin of k r h (r < B). Waves made
+    for other wavenumbers or another pattern of exact pairs are made again
+    at the same nodes and step, so they never give another answer than
+    fresh ones. The product matches the direct sum within about
+    16 eps sum |c| (1 + |k| pi) cosh(Im k pi).
     """
     order = integer_arg(order, "order", 0)
     x = np.asarray(x, dtype=float)
     terms = _mode_terms(model, order)
-    B = 0
-    if step is not None and x.ndim == 1 and x.size >= BLOCK_MIN_POINTS:
-        B = math.isqrt(x.size)
-        im = max((abs(k.imag) for k in terms[0]), default=0.0) * step
-        if im * B > 0.5:
-            B = int(0.5 / im)
-    total = _mode_product(terms, x, step, B) if B > 1 else _mode_loop(terms, x)
+    if waves is not None:
+        if x is not waves.nodes and not np.array_equal(x, waves.nodes):
+            raise ValueError("the waves belong to other nodes than x")
+        k, c, cos, pairs = _pairs_first(terms)
+        if not waves.serve(k, pairs):
+            waves = _block_waves(model, waves.nodes, waves.step, order)
+    total = _mode_product(c, cos, waves) if waves is not None else _mode_loop(terms, x)
     if np.iscomplexobj(total) and total.size:
         scale = 1.0 + np.max(np.abs(total.real))
         max_imag = np.max(np.abs(total.imag))
@@ -422,32 +479,44 @@ class GFSDecomposition:
     The aperiodic model lives on the standard interval [-pi, pi]; grids on
     other intervals are handled through the affine map, with jump values
     rescaled by the chain factor per derivative order.
+
+    The decomposition owns the grid's nodes on [-pi, pi]
+    (``GridSpec.standard_nodes()``) and, where the mode sum takes the
+    blocked product, the model's ``ModeWaves`` at them (None on the direct
+    path: fewer than BLOCK_MIN_POINTS nodes, an empty model, or B <= 1).
+    Both are read-only and serve every derivative order.
     """
 
     grid: GridSpec
     periodic: np.ndarray
     aperiodic: AperiodicModel
+    nodes: np.ndarray
+    waves: ModeWaves | None
 
 
 def gfs_decompose(u: SampledSignal, n, jumps: JumpData):
     """Split samples into periodic values and an aperiodic mode model."""
     grid = u.grid
     model = build_aperiodic_model(to_standard_jumps(jumps, grid), n)
-    ua = evaluate_aperiodic(model, grid.standard_nodes(), step=grid.standard_step)
-    return GFSDecomposition(grid=grid, periodic=u.values - ua, aperiodic=model)
+    nodes = grid.standard_nodes()
+    nodes.flags.writeable = False
+    waves = _block_waves(model, nodes, grid.standard_step)
+    ua = evaluate_aperiodic(model, nodes, waves=waves)
+    return GFSDecomposition(grid=grid, periodic=u.values - ua, aperiodic=model,
+                            nodes=nodes, waves=waves)
 
 
 def gfs_derivative(dec: GFSDecomposition, order=1):
     """Derivative of the decomposed signal at all grid nodes.
 
     Periodic part by FFT (nodes 0..N-1, node N from periodic extension),
-    aperiodic part analytically; both in standard coordinates, then the
-    chain factor maps back to the original interval.
+    aperiodic part analytically from the decomposition's nodes and waves;
+    both in standard coordinates, then the chain factor maps back to the
+    original interval.
     """
     order = integer_arg(order, "order", 1)
     grid = dec.grid
-    dp = spectral_derivative_periodic(dec.periodic, order)
-    da = evaluate_aperiodic(dec.aperiodic, grid.standard_nodes(), order,
-                            step=grid.standard_step)
-    factor = standard_chain_factor(grid) ** order
-    return SampledSignal(grid, (dp + da) * factor)
+    du = spectral_derivative_periodic(dec.periodic, order)
+    du += evaluate_aperiodic(dec.aperiodic, dec.nodes, order, waves=dec.waves)
+    du *= standard_chain_factor(grid) ** order
+    return SampledSignal(grid, du)

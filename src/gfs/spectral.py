@@ -29,5 +29,7 @@ def spectral_derivative_periodic(values, order=1):
     ik = 1j * np.arange(N // 2 + 1)
     # numpy's complex power is slow and gives i k itself at order 1
     mult = ik if order == 1 else ik ** order
-    du = np.fft.irfft(np.fft.rfft(u) * mult, n=N)
-    return np.concatenate([du, du[:1]])
+    du = np.empty(N + 1)
+    np.fft.irfft(np.fft.rfft(u) * mult, n=N, out=du[:N])
+    du[N] = du[0]
+    return du

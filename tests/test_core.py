@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -14,8 +15,10 @@ from gfs.core import (
     REALNESS_TOL,
     AperiodicModel,
     RealnessViolation,
+    _block_waves,
     _mode_product,
     _mode_terms,
+    _pairs_first,
     build_aperiodic_model,
     evaluate_aperiodic,
     gfs_decompose,
@@ -26,7 +29,7 @@ from gfs.core import (
     solve_mode_amplitudes,
 )
 from gfs.functions import FUNCTION_CATALOG, get_function
-from gfs.grid import SampledSignal, make_grid, sample
+from gfs.grid import SampledSignal, make_grid, sample, standard_chain_factor
 from gfs.jumps import JumpData, estimate_jumps, jumps_from_analytic, to_standard_jumps
 from gfs.linalg import (DUPLICATE_NODE_TOL, RANK_TOL_FACTOR, ROOT_RESIDUAL_TOL, DegenerateNodes,
                         complex_principal_sqrt)
@@ -655,7 +658,7 @@ class TestEvaluateSameBits:
     """Models without an exact conjugate pair keep the bits of the quarter-turn loop.
 
     An exact pair adds 2 Re of one member's term instead, within
-    16 eps sum |c wave| of the loop. Arrays given without a step keep the
+    16 eps sum |c wave| of the loop. Arrays given without waves keep the
     direct waves whatever their length: a 2048-point array and a 4097-point
     grid are here too.
     """
@@ -715,33 +718,52 @@ def draw_wavenumbers(kind, rng, count):
     return rng.uniform(-1e-6, 1e-6, count) + 1j * rng.uniform(-1e-6, 1e-6, count)
 
 
+def grid_waves(model, grid):
+    """The grid's nodes and the waves a decomposition of the model keeps there (None: direct)."""
+    x = grid.standard_nodes()
+    x.flags.writeable = False
+    return x, _block_waves(model, x, grid.standard_step)
+
+
+def evaluate_on_grid(model, grid, order):
+    """evaluate_aperiodic at the grid's nodes with the order-0 waves a decomposition keeps."""
+    x, waves = grid_waves(model, grid)
+    return evaluate_aperiodic(model, x, order, waves=waves)
+
+
 class TestBlockwiseWaves:
     """Long grids take blocked waves: close to the direct ones."""
 
     @pytest.mark.parametrize("a, b", [(-PI, PI), (0.0, 1.0), (1000.0, 1006.0), (36.364, 134.484)])
     def test_only_size_chooses_the_path(self, a, b, monkeypatch):
         # grid calls block from 2049 nodes on, on any interval; arrays given
-        # without a step, and 2-D arrays, never block
+        # without waves never block, and no waves are made for 2-D arrays or
+        # fewer nodes
         steps = []
 
-        def spy(terms, x, h, B):
-            steps.append(h)
-            return _mode_product(terms, x, h, B)
+        def spy(c, cos, waves):
+            steps.append(waves.step)
+            return _mode_product(c, cos, waves)
 
         monkeypatch.setattr("gfs.core._mode_product", spy)
         jumps = sine_sum_jumps([0.45], [1.3], 4)
         for N, blocked in ((2047, False), (2048, True), (32768, True)):
             grid = make_grid(a, b, N)
             steps.clear()
-            gfs_derivative(gfs_decompose(SampledSignal(grid, np.zeros(N + 1)), 1, jumps))
+            dec = gfs_decompose(SampledSignal(grid, np.zeros(N + 1)), 1, jumps)
+            gfs_derivative(dec)
             assert steps == ([grid.standard_step] * 2 if blocked else []), N
+            assert (dec.waves is not None) == blocked, N
         model = build_aperiodic_model(jumps, 1)
         grid = make_grid(a, b, 4096)
+        x, waves = grid_waves(model, grid)
         steps.clear()
-        evaluate_aperiodic(model, grid.standard_nodes())
-        evaluate_aperiodic(model, grid.standard_nodes().reshape(1, -1), step=grid.standard_step)
-        evaluate_aperiodic(model, grid.standard_nodes()[:2048], step=grid.standard_step)
+        evaluate_aperiodic(model, x)
         assert steps == []
+        assert _block_waves(model, x.reshape(1, -1), grid.standard_step) is None
+        assert _block_waves(model, x[:2048], grid.standard_step) is None
+        with pytest.raises(ValueError, match="other nodes"):
+            evaluate_aperiodic(model, x.reshape(1, -1), waves=waves)
 
     @pytest.mark.parametrize("kind", ["real", "complex", "imaginary", "tiny"])
     @pytest.mark.parametrize("N", [2048, 4096, 32768])
@@ -768,15 +790,17 @@ class TestBlockwiseWaves:
                     want = loop_evaluate(model, x, order)
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        got = evaluate_aperiodic(model, x, order, step=h)
+                        got = evaluate_on_grid(model, grid, order)
                     bound = 16 * EPS * (1 + abs(k) * PI) * len(modes) * abs(k) ** order * max(
                         1.0, np.max(np.abs(wave(k * x))))
                     assert np.max(np.abs(got - want)) <= bound, (k, order, family)
                     if kind in ("complex", "tiny"):
                         # the lone mode, imaginary part and all, straight from the product
-                        B = min(math.isqrt(N), int(0.5 / (abs(k.imag) * h)))
-                        terms = _mode_terms(AperiodicModel(**{family: modes[:1]}), order)
-                        got = _mode_product(terms, x, h, B)
+                        lone = AperiodicModel(**{family: modes[:1]})
+                        waves = _block_waves(lone, x, h, order)
+                        assert waves.block == min(math.isqrt(N + 1), int(0.5 / (abs(k.imag) * h)))
+                        _, c, cos, _ = _pairs_first(_mode_terms(lone, order))
+                        got = _mode_product(c, cos, waves)
                         want = sign * k ** order * wave(k * x)
                         assert np.max(np.abs(got - want)) <= bound / 2, (k, order, family)
 
@@ -789,9 +813,9 @@ class TestBlockwiseWaves:
                     want = loop_evaluate(model, x, order)
                 except RealnessViolation:
                     with pytest.raises(RealnessViolation):
-                        evaluate_aperiodic(model, x, order, step=grid.standard_step)
+                        evaluate_on_grid(model, grid, order)
                     continue
-                got = evaluate_aperiodic(model, x, order, step=grid.standard_step)
+                got = evaluate_on_grid(model, grid, order)
                 scale = max((abs(k) for k, _ in model.sine_modes + model.cosine_modes),
                             default=1.0) ** order
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, scale), label
@@ -816,7 +840,7 @@ class TestBlockwiseWaves:
         want = loop_evaluate(model, x, order)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = evaluate_aperiodic(model, x, order, step=grid.standard_step)
+            got = evaluate_on_grid(model, grid, order)
         scale = sum(abs(a * k ** order) * (1 + abs(k) * PI) * math.cosh(k.imag * PI)
                     for k, a in model.sine_modes + model.cosine_modes)
         assert np.max(np.abs(got - want)) <= 16 * EPS * max(1.0, scale), order
@@ -850,8 +874,7 @@ class TestBlockwiseWaves:
         for family, a in (("sine_modes", 1.0 + 0j), ("cosine_modes", 1j)):
             model = AperiodicModel(**{family: ((im * 1j, a), (-im * 1j, a.conjugate()))})
             for order in range(4):
-                blocked = evaluate_aperiodic(model, grid.standard_nodes(), order,
-                                             step=grid.standard_step)
+                blocked = evaluate_on_grid(model, grid, order)
                 direct = evaluate_aperiodic(model, np.linspace(-PI, PI, 100), order)
                 assert not blocked.any() and not direct.any(), (family, order)
 
@@ -907,7 +930,7 @@ class TestBlockwiseWaves:
             cosine_modes=model.cosine_modes)
         for order in range(4):
             with pytest.raises(RealnessViolation):
-                evaluate_aperiodic(broken, grid.standard_nodes(), order, step=grid.standard_step)
+                evaluate_on_grid(broken, grid, order)
 
     def test_broken_pair_still_raises(self):
         model = AperiodicModel(
@@ -915,7 +938,7 @@ class TestBlockwiseWaves:
                         (1.3 - 0.4j, 0.8 + 0.1j)))
         grid = make_grid(-PI, PI, 4096)
         with pytest.raises(RealnessViolation):
-            evaluate_aperiodic(model, grid.standard_nodes(), 1, step=grid.standard_step)
+            evaluate_on_grid(model, grid, 1)
 
     @pytest.mark.parametrize("family", ["sine_modes", "cosine_modes"])
     def test_mode_at_the_amplitude_guard_edge(self, family):
@@ -926,9 +949,226 @@ class TestBlockwiseWaves:
         for order in range(4):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                out = evaluate_aperiodic(model, grid.standard_nodes(), order,
-                                         step=grid.standard_step)
+                out = evaluate_on_grid(model, grid, order)
             assert np.all(np.isfinite(out))
+
+
+class TestSharedWaves:
+    """A decomposition's nodes and waves serve every order with the bits of waves made afresh.
+
+    The reference is the derivative as (dp + da) * factor, with da evaluated
+    from waves made for that order's own terms.
+    """
+
+    @staticmethod
+    def decompose(model, grid, rng):
+        """gfs_decompose of random samples on the grid, with ``model`` as its fit."""
+        u = SampledSignal(grid, rng.standard_normal(grid.N + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("gfs.core.build_aperiodic_model", lambda jumps, n: model)
+            return gfs_decompose(u, 1, JumpData(J=np.ones(4)))
+
+    @staticmethod
+    def fresh(dec, order):
+        x = dec.grid.standard_nodes()
+        waves = _block_waves(dec.aperiodic, x, dec.grid.standard_step, order)
+        da = evaluate_aperiodic(dec.aperiodic, x, order, waves=waves)
+        return (spectral_derivative_periodic(dec.periodic, order) + da) * standard_chain_factor(dec.grid) ** order
+
+    def check(self, model, grid, rng):
+        """Returns the decomposition, or None when order 0 raises (as it does with fresh waves)."""
+        try:
+            dec = self.decompose(model, grid, rng)
+        except RealnessViolation as exc:
+            x = grid.standard_nodes()
+            with pytest.raises(RealnessViolation) as want:
+                evaluate_aperiodic(model, x, waves=_block_waves(model, x, grid.standard_step))
+            assert str(want.value) == str(exc)
+            return None
+        for order in (1, 2, 3):
+            try:
+                want = self.fresh(dec, order)
+            except RealnessViolation as exc:
+                with pytest.raises(RealnessViolation) as got:
+                    gfs_derivative(dec, order)
+                assert str(got.value) == str(exc)
+                continue
+            assert_same_bits(gfs_derivative(dec, order).values, want)
+        return dec
+
+    @staticmethod
+    def draw_grid(rng, N):
+        a = rng.uniform(-50, 50)
+        return make_grid(a, a + rng.uniform(0.01, 100), N)
+
+    @pytest.mark.parametrize("N", [2049, 4097, 16384, 32768])
+    def test_fitted_models(self, N):
+        rng = np.random.default_rng(N)
+        decs = []
+        for label, model in fitted_models():
+            for grid in (make_grid(-PI, PI, N), self.draw_grid(rng, N)):
+                try:
+                    decs.append(self.check(model, grid, rng))
+                except AssertionError as exc:
+                    raise AssertionError(label) from exc
+        # most take the product path; the others are empty or raise at order 0
+        assert sum(dec is not None and dec.waves is not None for dec in decs) > len(decs) // 2
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2049, 4097, 16384, 32768]))
+    @settings(max_examples=30, deadline=None)
+    def test_drawn_models(self, seed, N):
+        # exact pairs, unpaired complex and imaginary k, wide modes down to
+        # B <= 1 and cancelling pairs (TestBlockwiseWaves.draw_model)
+        rng = np.random.default_rng(seed)
+        grid = self.draw_grid(rng, N)
+        self.check(TestBlockwiseWaves.draw_model(rng, grid.standard_step), grid, rng)
+
+    @pytest.mark.parametrize("N, im, B", [(4097, 150.0, 2), (4097, 40.0, 8), (32768, 150.0, 17)])
+    def test_short_blocks(self, N, im, B):
+        # wide exact pairs in both families cut the block to B points
+        rng = np.random.default_rng(N)
+        k = complex(2.5, im)
+        a = complex(0.6, -1.1) / math.cosh(im * PI)
+        model = AperiodicModel(sine_modes=((k, a), (k.conjugate(), a.conjugate()), (1.7 + 0j, 0.3 + 0j)),
+                               cosine_modes=((k.conjugate(), a), (k, a.conjugate())))
+        for grid in (make_grid(-PI, PI, N), self.draw_grid(rng, N)):
+            assert self.check(model, grid, rng).waves.block == B
+
+    @pytest.mark.parametrize("N", [4097, 32768])
+    def test_cancelling_pairs_give_exact_zeros(self, N):
+        model = AperiodicModel(sine_modes=((30j, 1.0 + 0j), (-30j, 1.0 + 0j)),
+                               cosine_modes=((100j, 1j), (-100j, -1j)))
+        dec = self.check(model, make_grid(-PI, PI, N), np.random.default_rng(N))
+        assert dec.waves is not None
+        for order in range(4):
+            assert not evaluate_aperiodic(model, dec.nodes, order, waves=dec.waves).any(), order
+
+    def test_broken_pair_raises_the_same_message_at_every_order(self):
+        model = AperiodicModel(
+            sine_modes=((1.3 + 0.4j, 0.8 - 0.3j), (2.0 + 0j, 1.0 + 0j),
+                        (1.3 - 0.4j, 0.8 + 0.1j)))
+        grid = make_grid(-PI, PI, 4096)
+        x, waves = grid_waves(model, grid)
+        for order in range(4):
+            with pytest.raises(RealnessViolation) as want:
+                evaluate_aperiodic(model, x, order, waves=_block_waves(model, x, grid.standard_step, order))
+            with pytest.raises(RealnessViolation) as got:
+                evaluate_aperiodic(model, x, order, waves=waves)
+            assert str(got.value) == str(want.value), order
+
+    def test_empty_model_takes_the_direct_path(self):
+        # no terms, no waves: the derivative is the periodic part's alone
+        grid = make_grid(0.0, 1.0, 32768)
+        dec = self.check(AperiodicModel(), grid, np.random.default_rng(0))
+        assert dec.waves is None
+        for order in (1, 2):
+            assert_same_bits(gfs_derivative(dec, order).values, spectral_derivative_periodic(
+                dec.periodic, order) * standard_chain_factor(grid) ** order)
+
+    def test_nodes_and_waves_are_read_only(self):
+        f = get_function("gaussian")
+        dec = gfs_decompose(sample(f, make_grid(0.0, 1.0, 4096)), 3, jumps_from_analytic(f, 12))
+        assert dec.waves.nodes is dec.nodes
+        for name in ("nodes", "k", "sin_start", "cos_start", "inner"):
+            array = getattr(dec.waves, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        small = gfs_decompose(sample(f, make_grid(0.0, 1.0, 64)), 3, jumps_from_analytic(f, 12))
+        assert small.waves is None and not small.nodes.flags.writeable
+
+
+class TestWavesOfOtherNodesOrModels:
+    """Waves given for other nodes raise; waves of another model are made again, never misapplied."""
+
+    MODEL = AperiodicModel(sine_modes=((1.3 + 0j, 0.7 + 0j),))
+
+    def test_scattered_points_take_the_direct_waves(self):
+        # a grid's spacing applied to sorted random points of the same count
+        # was off by 0.024 here; without waves they take the direct waves,
+        # and a grid's waves are refused
+        x = np.sort(np.random.default_rng(7).uniform(-PI, PI, 4096))
+        got = evaluate_aperiodic(self.MODEL, x)
+        assert_same_bits(got, loop_evaluate(self.MODEL, x, 0))
+        assert np.max(np.abs(got - 0.7 * np.sin(1.3 * x))) <= 4 * EPS
+        _, waves = grid_waves(self.MODEL, make_grid(-PI, PI, 4095))
+        with pytest.raises(ValueError, match="other nodes"):
+            evaluate_aperiodic(self.MODEL, x, waves=waves)
+
+    def test_waves_of_another_grid_raise(self):
+        _, waves = grid_waves(self.MODEL, make_grid(-PI, PI, 4096))
+        for N in (4095, 4097, 8192):
+            with pytest.raises(ValueError, match="other nodes"):
+                evaluate_aperiodic(self.MODEL, make_grid(-PI, PI, N).standard_nodes(), 1, waves=waves)
+        # equal nodes of another grid or array serve: the same bits as the waves' own
+        x, own = grid_waves(self.MODEL, make_grid(-PI, PI, 4096))
+        other = make_grid(3.0, 7.0, 4096).standard_nodes()
+        assert_same_bits(evaluate_aperiodic(self.MODEL, other, 1, waves=waves),
+                         evaluate_aperiodic(self.MODEL, x, 1, waves=own))
+
+    @staticmethod
+    def rebuilds(monkeypatch):
+        calls = []
+
+        def spy(model, x, h, order=0):
+            calls.append(order)
+            return _block_waves(model, x, h, order)
+
+        monkeypatch.setattr("gfs.core._block_waves", spy)
+        return calls
+
+    def test_waves_of_another_model_are_made_again(self, monkeypatch):
+        models = [model for _, model in fitted_models()][:6] + [self.MODEL]
+        grid = make_grid(-1.0, 2.0, 16384)
+        rng = np.random.default_rng(3)
+        decs = [TestSharedWaves.decompose(model, grid, rng) for model in models]
+        calls = self.rebuilds(monkeypatch)
+        for dec, model in zip(decs, models[1:] + models[:1]):
+            for order in (1, 2):
+                calls.clear()
+                wrong = dataclasses.replace(dec, aperiodic=model)
+                assert_same_bits(gfs_derivative(wrong, order).values, TestSharedWaves.fresh(wrong, order))
+                assert len(calls) == 1, order
+        # a model of the same wavenumbers but other amplitudes keeps the waves
+        dec = decs[-1]
+        calls.clear()
+        same_k = dataclasses.replace(dec, aperiodic=AperiodicModel(sine_modes=((1.3 + 0j, -2.0 + 0j),)))
+        assert_same_bits(gfs_derivative(same_k, 1).values, TestSharedWaves.fresh(same_k, 1))
+        assert calls == []
+        # the same wavenumber as a cancelling exact pair and as a lone real
+        # mode: the pair's folded waves would double the lone mode's sinh
+        pair = AperiodicModel(sine_modes=((3j, 0.5 + 0j), (-3j, 0.5 + 0j)))
+        lone = AperiodicModel(sine_modes=((3j, -1j),))
+        x, waves = grid_waves(pair, make_grid(-PI, PI, 4096))
+        for order in range(4):
+            calls.clear()
+            got = evaluate_aperiodic(lone, x, order, waves=waves)
+            assert calls == [order], order
+            assert np.max(np.abs(got - loop_evaluate(lone, x, order))) <= 1e-12 * 3.0 ** order * math.sinh(3 * PI)
+
+    def test_pair_pattern_of_one_order_makes_waves_again(self, monkeypatch):
+        # two real modes of one tiny k: a k^m underflows to 0 from order 2
+        # on, where the two terms become an exact pair and fold into one
+        model = AperiodicModel(sine_modes=((1e-200 + 0j, 1.0 + 0j), (1e-200 + 0j, 2.0 + 0j)))
+        grid = make_grid(-PI, PI, 4096)
+        x, waves = grid_waves(model, grid)
+        assert waves.pairs == 0 and waves.k.size == 2
+        calls = self.rebuilds(monkeypatch)
+        for order in range(4):
+            calls.clear()
+            got = evaluate_aperiodic(model, x, order, waves=waves)
+            assert calls == ([order] if order >= 2 else []), order
+            assert_same_bits(got, evaluate_aperiodic(
+                model, x, order, waves=_block_waves(model, x, grid.standard_step, order)))
+            assert np.max(np.abs(got - loop_evaluate(model, x, order))) <= 16 * EPS, order
+
+
+@pytest.mark.parametrize("N", [8, 9, 64, 65, 1023, 4096, 32768])
+def test_spectral_derivative_writes_the_concatenated_bits(N):
+    values = np.random.default_rng(N).standard_normal(N + 1)
+    ik = 1j * np.arange(N // 2 + 1)
+    for order in range(5):
+        du = np.fft.irfft(np.fft.rfft(values[:N]) * (ik if order == 1 else ik ** order), n=N)
+        assert_same_bits(spectral_derivative_periodic(values, order), np.concatenate([du, du[:1]]))
 
 
 class TestEvaluate:
