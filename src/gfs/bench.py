@@ -32,7 +32,6 @@ class ExperimentConfig:
     N_list: tuple = (64,)
     n_modes: int = 2
     q: int = 8
-    prony_M: str = "N/2"  # "N/2" or an integer literal >= 1
     jump_source: str = "analytic"  # "analytic" or "fd:<r>"
 
     def __post_init__(self):
@@ -48,9 +47,6 @@ class ExperimentConfig:
         # eckhoff's singular basis reads the Bernoulli polynomials B_1..B_q
         if "eckhoff" in self.methods and self.q > BERNOULLI_MAX_ORDER + 1:
             raise ValueError(f"eckhoff needs q <= {BERNOULLI_MAX_ORDER + 1}, got q={self.q}")
-        rule = str(self.prony_M)
-        if rule != "N/2" and not (rule.isdecimal() and int(rule) >= 1):
-            raise ValueError(f"prony_M must be 'N/2' or an integer >= 1, got {self.prony_M!r}")
 
     @property
     def fd_jump_order(self):
@@ -64,7 +60,7 @@ class ExperimentRow:
     method: str
     function: str
     N: int
-    param: str  # n for gfs, q for roache/eckhoff, M for prony, r for fd
+    param: str  # n for gfs, q for roache/eckhoff, M = N // 2 for prony, r for fd
     jump_source: str
     e_inf: float
     e_2: float
@@ -102,15 +98,10 @@ def _method_param(cfg, method, N):
     if method in ("roache", "eckhoff"):
         return str(cfg.q)
     if method == "prony":
-        return str(resolve_prony_M(cfg, N))
+        return str(N // 2)
     if method == "fd":
         return str(FD_ORDER)
     return ""
-
-
-def resolve_prony_M(cfg, N):
-    rule = str(cfg.prony_M)
-    return N // 2 if rule == "N/2" else int(rule)
 
 
 @functools.cache
@@ -152,7 +143,7 @@ def _run_single(cfg, method, u, exact, analytic):
     elif method == "eckhoff":
         approx = eckhoff_derivative(u, _leading(analytic, cfg.q)).values
     elif method == "prony":
-        fit = prony_fit(u, resolve_prony_M(cfg, grid.N))
+        fit = prony_fit(u, grid.N // 2)
         approx = prony_evaluate(fit, grid.nodes(), 1)
     else:  # pragma: no cover - guarded in config
         raise ValueError(method)
@@ -236,11 +227,6 @@ def write_report(text, path):
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
-
-
-def emit_csv(report: ExperimentReport, path):
-    """Write the report to the file at ``path`` as ``format_csv`` gives it."""
-    write_report(format_csv(report), path)
 
 
 def loglog_slope(Ns, errs):

@@ -54,8 +54,6 @@ def _build_parser():
                    help="non-harmonic modes per family for gfs")
     p.add_argument("--q", type=int, default=8,
                    help="jump count for roache/eckhoff")
-    p.add_argument("--prony-M", default="N/2",
-                   help="Prony exponential count: N/2 or an integer >= 1")
     p.add_argument("--jumps", default="analytic",
                    help="jump source for gfs: analytic or fd:<r>")
     p.add_argument("--out", help="CSV output path (default: stdout)")
@@ -73,7 +71,6 @@ def _config_from_args(args):
         N_list=tuple(args.N) if args.N else (64,),
         n_modes=args.n_modes,
         q=args.q,
-        prony_M=args.prony_M,
         jump_source=args.jumps,
     )
 

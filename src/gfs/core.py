@@ -15,17 +15,19 @@ family the bits it would get alone:
    amplitudes (one solve), then unscale through 2 sin(k pi) (sine) or
    -2 k sin(k pi) (cosine).
 
-A family whose characteristic roots collapse shrinks to the number of
-distinct roots and is fitted again alone, as a stack of one.
+Distinctness is checked once per family, on the Vandermonde nodes
+-(k^2): they are the characteristic roots up to rounding. A family whose
+nodes collapse shrinks to the number of distinct nodes and is fitted
+again alone, as a stack of one.
 
 Modes within floating-point distance of an integer carry no jump
 information (sin(k pi) ~ 0) and are dropped; their content is
 representable by the periodic FFT part.
 
 A decomposition owns its grid's nodes on [-pi, pi] and, on long grids,
-the order-independent waves of its model's blocked mode sum
-(``ModeWaves``): sin and cos of k at the block starts and inside a block.
-Every derivative order is evaluated from that one set of waves.
+the waves of its model's blocked mode sum (``ModeWaves``): sin and cos of
+k at the block starts and inside a block. The model's exact conjugate
+pairs, and so the waves, are the same at every derivative order.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ import numpy as np
 
 from gfs.grid import GridSpec, SampledSignal, integer_arg, standard_chain_factor
 from gfs.jumps import JumpData, to_standard_jumps
-from gfs.linalg import (DegenerateNodes, complex_principal_sqrt, count_distinct,
-                        polynomial_roots, solve_least_squares,
+from gfs.linalg import (DegenerateNodes, complex_principal_sqrt, polynomial_roots, solve_least_squares,
                         solve_transposed_vandermonde)
 from gfs.spectral import spectral_derivative_periodic
 
@@ -76,16 +77,14 @@ class AperiodicModel:
         return not self.sine_modes and not self.cosine_modes
 
 
-def solve_elementary_symmetric(jumps: JumpData, parity, n):
+def solve_elementary_symmetric(jumps: JumpData, parities, n):
     """Elementary symmetric polynomials of the squared wavenumbers, per family of a stack.
 
-    ``parity`` selects the jump subsequence: "even" (J_0, J_2, ...) feeds
-    the sine family, "odd" (J_1, J_3, ...) the cosine family. A tuple of
-    parities stacks their families. Returns the stacked vectors
-    (e_n, ..., e_1), one row per family, and the numerical rank of each
-    family's Hankel matrix; a single parity gives its vector and rank alone.
+    ``parities`` is a tuple; each parity selects a jump subsequence: "even"
+    (J_0, J_2, ...) feeds the sine family, "odd" (J_1, J_3, ...) the cosine
+    family. Returns the stacked vectors (e_n, ..., e_1), one row per
+    family, and the numerical rank of each family's Hankel matrix.
     """
-    parities = _as_stack(parity)
     J = []
     for p in parities:
         Jp = _family_jumps(jumps, p)
@@ -107,12 +106,7 @@ def solve_elementary_symmetric(jumps: JumpData, parity, n):
     rhs = scaled[:, n:].astype(complex)
     x, rank = solve_least_squares(H, -rhs)
     e = x * c ** (n - np.arange(n, dtype=float))
-    return (e[0], int(rank[0])) if isinstance(parity, str) else (e, rank)
-
-
-def _as_stack(parity):
-    """The parities of a stack: a tuple of them, or one parity as a stack of one."""
-    return (parity,) if isinstance(parity, str) else tuple(parity)
+    return e, rank
 
 
 def _family_jumps(jumps, parity):
@@ -129,7 +123,9 @@ def modes_from_symmetric(e, n):
     ``e`` is the vector (e_n, ..., e_1), or a stack of them, one per row.
     The polynomial is lambda^n - e_1 lambda^(n-1) + ... + (-1)^n e_n; each
     root lambda_j is a squared wavenumber, mapped through the principal
-    square root. The first row whose roots collapse raises DegenerateNodes.
+    square root. Roots that collapse are not checked here: the amplitude
+    solve's Vandermonde in -(k^2), the same values up to rounding, raises
+    DegenerateNodes for them.
     """
     e = np.asarray(e, dtype=complex)
     if e.shape[-1:] != (n,):
@@ -138,27 +134,20 @@ def modes_from_symmetric(e, n):
     coeffs = np.empty(e.shape[:-1] + (n + 1,), dtype=complex)
     coeffs[..., n] = 1.0
     coeffs[..., :n] = np.array([(-1.0) ** (n - j) for j in range(n)]) * e
-    lams = polynomial_roots(coeffs)
-    for row in lams.reshape(-1, n):
-        n_distinct = count_distinct(row)
-        if n_distinct < n:
-            raise DegenerateNodes(
-                f"characteristic roots collapse to {n_distinct} distinct values",
-                n_distinct=n_distinct)
-    return complex_principal_sqrt(lams)
+    return complex_principal_sqrt(polynomial_roots(coeffs))
 
 
-def solve_mode_amplitudes(modes, jumps: JumpData, parity):
+def solve_mode_amplitudes(modes, jumps: JumpData, parities):
     """Amplitudes from the transposed Vandermonde system in (i k)^2, per family of a stack.
 
     Sine family: w_j = 2 u_j sin(k_j pi); cosine family:
     w_j = -2 u_j k_j sin(k_j pi). ``modes`` holds one row of wavenumbers
-    per parity of the tuple ``parity``, or one vector for a single parity.
-    The result holds the unscaled amplitudes u_j in the same layout (NaN
-    marks modes dropped by the near-harmonic, zero-wavenumber or
-    denominator overflow guards).
+    per parity of the tuple ``parities``. The result holds the unscaled
+    amplitudes u_j in the same layout (NaN marks modes dropped by the
+    near-harmonic, zero-wavenumber or denominator overflow guards). The
+    first row whose nodes -(k^2) collapse raises DegenerateNodes with
+    their number of distinct values.
     """
-    parities = _as_stack(parity)
     modes = np.asarray(modes, dtype=complex).reshape(len(parities), -1)
     n = modes.shape[1]
     J = [_family_jumps(jumps, p) for p in parities]
@@ -184,7 +173,7 @@ def solve_mode_amplitudes(modes, jumps: JumpData, parity):
     for i in cosine:
         drop[i] |= np.abs(modes[i]) < NEAR_HARMONIC_TOL
     amps[drop] = np.nan
-    return amps[0] if isinstance(parity, str) else amps
+    return amps
 
 
 def _pair_conjugates(modes, amps):
@@ -240,12 +229,11 @@ def _fit_stack(jumps, parities, n):
 
 
 def _fit_family(jumps, parity, n):
-    """One family as a stack of one, shrinking n when its roots collapse.
+    """One family as a stack of one, shrinking n when its nodes collapse.
 
-    The family only shrinks when the characteristic roots or Vandermonde
-    nodes actually collapse, which is the one case the amplitude
-    Vandermonde cannot absorb; it is then fitted again at the number of
-    distinct values.
+    The family only shrinks when the Vandermonde nodes -(k^2) actually
+    collapse, which is the one case the amplitude Vandermonde cannot
+    absorb; it is then fitted again at the number of distinct nodes.
     """
     while True:
         try:
@@ -262,7 +250,7 @@ def build_aperiodic_model(jumps: JumpData, n):
     Both families are fitted as one stack of two. A family whose jumps all
     sit at the regularization floor is periodic to machine precision and
     gets no modes; a lone live family is a stack of one. When the stack
-    raises (collapsing roots that shrink a family, a failed root check),
+    raises (collapsing nodes that shrink a family, a failed root check),
     each family is fitted again alone, sine first: the families shrink
     independently, and what is raised is the first failing family's error.
     The worst case is an empty (pure-periodic) model.
@@ -279,7 +267,7 @@ def build_aperiodic_model(jumps: JumpData, n):
             fits = _fit_stack(jumps, live, n)
         except Exception:
             # the families are fitted again one at a time below, sine
-            # first: a family whose roots collapsed shrinks, and the error
+            # first: a family whose nodes collapsed shrinks, and the error
             # raised is that of the first family that fails
             pass
     if fits is None:
@@ -293,26 +281,29 @@ def _mode_terms(model, order):
 
     Q_0..Q_3 are sin, cos, -sin, -cos; a sine mode's term takes
     t = order mod 4 and a cosine mode's one turn more, so each term is
-    c sin(k x) or c cos(k x) with c = +-a k^order. A mode whose (k, c) is
-    exactly (conj k_i, conj c_i) of an earlier mode i of the same family
+    c sin(k x) or c cos(k x) with c = +-a k^order. A mode whose (k, a) is
+    exactly (conj k_i, conj a_i) of an earlier mode i of the same family
     folds into i, which then adds 2 Re of its term (c_i doubled, paired_i
     set): exact pairs leave no imaginary part, however large their terms.
+    numpy's scalar complex power and product are conjugate-symmetric, so
+    the partner's c is exactly conj c_i at every order, and the columns k
+    and paired do not depend on the order.
 
     Returns the columns k, c, cos (the term's wave is cos) and paired as lists.
     """
     k, c, cos, paired = [], [], [], []
-    unpaired = {}  # (cos, k, c) -> index of a term still without a partner
+    unpaired = {}  # (cos, k, a) -> index of a term still without a partner
     for turn, modes in enumerate((model.sine_modes, model.cosine_modes), start=order):
         odd = turn % 2 == 1
         for k_j, a in modes:
-            c_j = a * k_j ** order
-            if turn % 4 >= 2:
-                c_j = -c_j
-            if (i := unpaired.pop((odd, np.conj(k_j), np.conj(c_j)), None)) is not None:
+            if (i := unpaired.pop((odd, np.conj(k_j), np.conj(a)), None)) is not None:
                 c[i] *= 2.0
                 paired[i] = True
                 continue
-            unpaired[(odd, k_j, c_j)] = len(k)
+            c_j = a * k_j ** order
+            if turn % 4 >= 2:
+                c_j = -c_j
+            unpaired[(odd, k_j, a)] = len(k)
             k.append(k_j)
             c.append(c_j)
             cos.append(odd)
@@ -354,7 +345,6 @@ class ModeWaves:
     """
 
     nodes: np.ndarray
-    step: float
     k: np.ndarray
     pairs: int
     block: int
@@ -368,8 +358,8 @@ class ModeWaves:
                 and k.tobytes() == self.k.tobytes())
 
 
-def _block_waves(model, x, h, order=0):
-    """The waves of the blocked sum of the model's order-th terms at uniform nodes x, step h, or None.
+def _block_waves(model, x, h):
+    """The waves of the blocked sum of the model's terms at uniform nodes x, step h, or None.
 
     One B serves all terms: isqrt(x.size), cut so that max|Im k| B h <= 1/2,
     which bounds how far the cancelling products outgrow the waves. Fewer
@@ -378,7 +368,7 @@ def _block_waves(model, x, h, order=0):
     """
     if x.ndim != 1 or x.size < BLOCK_MIN_POINTS:
         return None
-    terms = _mode_terms(model, order)
+    terms = _mode_terms(model, 0)
     if not terms[0]:
         return None
     B = math.isqrt(x.size)
@@ -396,7 +386,7 @@ def _block_waves(model, x, h, order=0):
         # a paired term adds Re(P Q) = (Re P, Im P) @ (Re Q, -Im Q); the
         # waves are float when every term is paired
         inner = np.concatenate([inner.real[:n], -inner.imag[:n]] + ([inner[n:]] if n < len(inner) else []))
-    waves = ModeWaves(x, h, k, pairs, B, np.sin(start), np.cos(start), inner)
+    waves = ModeWaves(x, k, pairs, B, np.sin(start), np.cos(start), inner)
     for a in (k, waves.sin_start, waves.cos_start, inner):
         a.flags.writeable = False
     return waves
@@ -439,12 +429,11 @@ def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, waves=None):
 
     Without ``waves`` every term takes one direct wave. Given the
     ``ModeWaves`` of a grid (``GFSDecomposition.waves``), x must be their
-    nodes, else ValueError is raised; the whole sum is then one matrix
-    product (``_mode_product``) over blocks of B points: the waves of every
-    term at the block starts times cos and sin of k r h (r < B). Waves made
-    for other wavenumbers or another pattern of exact pairs are made again
-    at the same nodes and step, so they never give another answer than
-    fresh ones. The product matches the direct sum within about
+    nodes and the model's wavenumbers and exact pairs theirs, else
+    ValueError is raised; the whole sum is then one matrix product
+    (``_mode_product``) over blocks of B points: the waves of every term at
+    the block starts times cos and sin of k r h (r < B). The product
+    matches the direct sum within about
     16 eps sum |c| (1 + |k| pi) cosh(Im k pi).
     """
     order = integer_arg(order, "order", 0)
@@ -455,7 +444,7 @@ def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, waves=None):
             raise ValueError("the waves belong to other nodes than x")
         k, c, cos, pairs = _pairs_first(terms)
         if not waves.serve(k, pairs):
-            waves = _block_waves(model, waves.nodes, waves.step, order)
+            raise ValueError("the waves belong to another model")
     total = _mode_product(c, cos, waves) if waves is not None else _mode_loop(terms, x)
     if np.iscomplexobj(total) and total.size:
         scale = 1.0 + np.max(np.abs(total.real))

@@ -222,8 +222,7 @@ class TestCriterion9FailureModes:
 
     def test_prony_inf_rows_in_harness(self):
         from gfs.bench import ExperimentConfig, run_experiment
-        cfg = ExperimentConfig(function="gaussian", methods=("prony",),
-                               N_list=(128, 256), prony_M="N/2")
+        cfg = ExperimentConfig(function="gaussian", methods=("prony",), N_list=(128, 256))
         for row in run_experiment(cfg).rows:
             assert math.isinf(row.e_inf)
 

@@ -12,11 +12,11 @@ from gfs.bench import (
     ExperimentRow,
     _warm_up_numpy,
     convergence_sweep,
-    emit_csv,
+    format_csv,
     leakage_demo,
     loglog_slope,
-    resolve_prony_M,
     run_experiment,
+    write_report,
 )
 from gfs.baselines import bernoulli_coefficients
 from gfs.cli import main as cli_main
@@ -57,9 +57,9 @@ class TestRunExperiment:
         assert row.e_inf <= 2e-10
 
     def test_prony_failure_becomes_inf_row(self):
-        cfg = ExperimentConfig(function="gaussian", methods=("prony",),
-                               N_list=(128,), prony_M="N/2")
+        cfg = ExperimentConfig(function="gaussian", methods=("prony",), N_list=(128,))
         (row,) = run_experiment(cfg).rows
+        assert row.param == "64"  # M = N/2
         assert math.isinf(row.e_inf)
         assert math.isinf(row.e_2)
         assert row.note == "IllConditioned"
@@ -110,23 +110,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(function="gaussian", methods=("magic",))
 
-    @pytest.mark.parametrize("rule, M", [("N/2", 16), ("8", 8), (8, 8)])
-    def test_prony_M_forms(self, rule, M):
-        cfg = ExperimentConfig(function="gaussian", methods=("prony",), prony_M=rule)
-        assert resolve_prony_M(cfg, 32) == M
-
 
 class TestEmitCsv:
     def test_empty_report(self, tmp_path):
         out = tmp_path / "empty.csv"
-        emit_csv(ExperimentReport(rows=()), out)
+        write_report(format_csv(ExperimentReport(rows=())), out)
         assert out.read_text() == HEADER + "\n"
 
     def test_one_row(self, tmp_path):
         cfg = ExperimentConfig(function="gaussian", methods=("gfs",),
                                N_list=(64,), n_modes=3)
         out = tmp_path / "one.csv"
-        emit_csv(run_experiment(cfg), out)
+        write_report(format_csv(run_experiment(cfg)), out)
         rows = read_rows(out)
         assert len(rows) == 1
         method, function, N, param, src, e_inf, e_2, wall, note = rows[0]
@@ -140,7 +135,7 @@ class TestEmitCsv:
         cfg = ExperimentConfig(function="gaussian", methods=("prony",),
                                N_list=(256,))
         out = tmp_path / "inf.csv"
-        emit_csv(run_experiment(cfg), out)
+        write_report(format_csv(run_experiment(cfg)), out)
         row = read_rows(out)[0]
         assert row[5] == "inf" and row[6] == "inf"
 
@@ -151,7 +146,7 @@ class TestEmitCsv:
                                    wall_ms=0.0, note=note)
                      for note in ("RealnessViolation", "IllConditioned"))
         out = tmp_path / "notes.csv"
-        emit_csv(ExperimentReport(rows=rows), out)
+        write_report(format_csv(ExperimentReport(rows=rows)), out)
         realness, ill = read_rows(out)
         assert realness[:8] == ill[:8]
         assert (realness[8], ill[8]) == ("RealnessViolation", "IllConditioned")
@@ -160,8 +155,8 @@ class TestEmitCsv:
         cfg = ExperimentConfig(function="log_fn", methods=("gfs", "fft"),
                                N_list=(32, 64), n_modes=3)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_experiment(cfg), a)
-        emit_csv(run_experiment(cfg), b)
+        write_report(format_csv(run_experiment(cfg)), a)
+        write_report(format_csv(run_experiment(cfg)), b)
         strip = lambda p: [r[:7] for r in read_rows(p)]
         assert strip(a) == strip(b)
 
@@ -388,17 +383,6 @@ class TestCli:
             tables.append([row[:7] + row[8:] for row in rows])  # all but wall_ms
         assert tables[0] == tables[1]
 
-    @pytest.mark.parametrize("rule", ["Nk", "0", "-1", "x"])
-    def test_bad_prony_M(self, rule, capsys, monkeypatch):
-        def no_sampling(*args):
-            raise AssertionError("sampled before the config was checked")
-        monkeypatch.setattr(gfs.bench, "sample", no_sampling)
-        rc = cli_main(["--function", "gaussian", "--method", "prony", "--N", "64",
-                       "--prony-M", rule])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            "error: prony_M must be 'N/2' or an integer >= 1")
-
     @pytest.mark.parametrize("flag, name", [("--n-modes", "n_modes"), ("--q", "q")])
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_is_config_error(self, flag, name, count, capsys, monkeypatch):
@@ -424,19 +408,6 @@ class TestCli:
         assert capsys.readouterr().err == "error: eckhoff needs q <= 33, got q=34\n"
         # without eckhoff, q is not bounded by the Bernoulli table
         ExperimentConfig(function="gaussian", methods=("roache",), q=34)
-
-    def test_prony_M_above_half_N_is_one_inf_row(self, tmp_path):
-        # M = 20 needs 40 samples: N=32 has 33, so that row alone is too small
-        # (N=64 fits, and is ill-conditioned on smooth data); gfs is unaffected
-        argv = ["--function", "gaussian", "--method", "prony", "--method", "gfs",
-                "--N", "32", "--N", "64", "--prony-M", "20"]
-        out = tmp_path / "prony.csv"
-        assert cli_main(argv + ["--out", str(out)]) == 0
-        rows = {(r[0], r[2]): r[5:7] + r[8:] for r in read_rows(out)}
-        assert sorted(rows) == [("gfs", "32"), ("gfs", "64"), ("prony", "32"), ("prony", "64")]
-        assert rows[("prony", "32")] == ["inf", "inf", "GridTooSmall"]
-        assert rows[("prony", "64")] == ["inf", "inf", "IllConditioned"]
-        assert all(math.isfinite(float(e)) for e in rows[("gfs", "32")][:2] + rows[("gfs", "64")][:2])
 
     def test_unwritable_output_is_io_error(self):
         rc = cli_main(["--function", "gaussian", "--method", "gfs",

@@ -32,7 +32,7 @@ from gfs.functions import FUNCTION_CATALOG, get_function
 from gfs.grid import SampledSignal, make_grid, sample, standard_chain_factor
 from gfs.jumps import JumpData, estimate_jumps, jumps_from_analytic, to_standard_jumps
 from gfs.linalg import (DUPLICATE_NODE_TOL, RANK_TOL_FACTOR, ROOT_RESIDUAL_TOL, DegenerateNodes,
-                        complex_principal_sqrt)
+                        complex_principal_sqrt, count_distinct)
 from gfs.spectral import spectral_derivative_periodic
 
 PI = math.pi
@@ -75,18 +75,18 @@ def two_mode_oracle(J):
 class TestElementarySymmetric:
     def test_two_sine_even_family(self):
         jumps = sine_sum_jumps([0.5, 1.2], [1.0, 1.0], 8)
-        e, rank = solve_elementary_symmetric(jumps, "even", 2)
+        (e,), (rank,) = solve_elementary_symmetric(jumps, ("even",), 2)
         assert rank == 2
         np.testing.assert_allclose(e.real, [0.36, 1.69], atol=1e-10)
 
     def test_single_sine(self):
         jumps = sine_sum_jumps([0.5], [1.0], 4)
-        e, rank = solve_elementary_symmetric(jumps, "even", 1)
+        (e,), _ = solve_elementary_symmetric(jumps, ("even",), 1)
         assert e[0].real == pytest.approx(0.25, abs=1e-12)
 
     def test_all_regularized_rank(self):
         jumps = JumpData(J=np.full(8, 1e-15))
-        e, rank = solve_elementary_symmetric(jumps, "even", 2)
+        (e,), (rank,) = solve_elementary_symmetric(jumps, ("even",), 2)
         assert rank <= 1 or np.max(np.abs(e)) < 1e-6
 
 
@@ -110,7 +110,7 @@ class TestModeAmplitudes:
         jumps = JumpData(J=np.array([1.0, 0.5, 0.25, 0.125]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            amps = solve_mode_amplitudes([300j, 0.4 + 0j], jumps, parity)
+            (amps,) = solve_mode_amplitudes([300j, 0.4 + 0j], jumps, (parity,))
         assert np.isnan(amps[0])
         assert np.isfinite(amps[1])
 
@@ -122,7 +122,7 @@ class TestModeAmplitudes:
         jumps = JumpData(J=np.array([1.0, 0.5, 0.25, 0.125]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            amps = solve_mode_amplitudes([k, 0.4 + 0j], jumps, parity)
+            (amps,) = solve_mode_amplitudes([k, 0.4 + 0j], jumps, (parity,))
         assert np.isnan(amps[0])
         assert np.isfinite(amps[1])
 
@@ -493,10 +493,9 @@ class TestFitSameBitsAsBefore:
         import gfs.core
         solves = []
 
-        def recording(jumps, parity, n):
-            e, rank = solve_elementary_symmetric(jumps, parity, n)
-            parities = (parity,) if isinstance(parity, str) else parity
-            solves.extend((p, n, r) for p, r in zip(parities, np.atleast_1d(rank).tolist()))
+        def recording(jumps, parities, n):
+            e, rank = solve_elementary_symmetric(jumps, parities, n)
+            solves.extend((p, n, r) for p, r in zip(parities, rank.tolist()))
             return e, rank
 
         monkeypatch.setattr(gfs.core, "solve_elementary_symmetric", recording)
@@ -568,6 +567,29 @@ class TestStackedFit:
         model = build_aperiodic_model(jumps_from_analytic(get_function("gaussian"), 12), 3)
         assert len(model.sine_modes) == len(model.cosine_modes) == 3
         assert calls == {"svd": 1, "eigvals": 1, "solve": 1}
+
+    @pytest.mark.parametrize("name, rows", [("gaussian", 2), ("empty_sine_family", 1)])
+    def test_one_distinctness_check_per_family_row(self, name, rows, monkeypatch):
+        # a fit checks each family's Vandermonde nodes, not its
+        # characteristic roots too: a stack of two takes two checks, a lone
+        # live family one
+        import gfs.core
+        import gfs.linalg
+        checked = []
+
+        def spy(values):
+            checked.append(len(values))
+            return count_distinct(values)
+
+        for module in (gfs.core, gfs.linalg):
+            if hasattr(module, "count_distinct"):
+                monkeypatch.setattr(module, "count_distinct", spy)
+        if name == "gaussian":
+            jumps, n = jumps_from_analytic(get_function("gaussian"), 12), 3
+        else:
+            jumps, n = HAND_BUILT_JUMPS[name]
+        build_aperiodic_model(jumps, n)
+        assert len(checked) == rows, checked
 
 
 # Q_0..Q_3 = sin, cos, -sin, -cos as (sign, wave): the order-m derivative of
@@ -738,28 +760,28 @@ class TestBlockwiseWaves:
     def test_only_size_chooses_the_path(self, a, b, monkeypatch):
         # grid calls block from 2049 nodes on, on any interval; arrays given
         # without waves never block, and no waves are made for 2-D arrays or
-        # fewer nodes
-        steps = []
+        # fewer nodes; both orders of a decomposition take its one set of waves
+        used = []
 
         def spy(c, cos, waves):
-            steps.append(waves.step)
+            used.append(waves)
             return _mode_product(c, cos, waves)
 
         monkeypatch.setattr("gfs.core._mode_product", spy)
         jumps = sine_sum_jumps([0.45], [1.3], 4)
         for N, blocked in ((2047, False), (2048, True), (32768, True)):
             grid = make_grid(a, b, N)
-            steps.clear()
+            used.clear()
             dec = gfs_decompose(SampledSignal(grid, np.zeros(N + 1)), 1, jumps)
             gfs_derivative(dec)
-            assert steps == ([grid.standard_step] * 2 if blocked else []), N
             assert (dec.waves is not None) == blocked, N
+            assert len(used) == (2 if blocked else 0) and all(w is dec.waves for w in used), N
         model = build_aperiodic_model(jumps, 1)
         grid = make_grid(a, b, 4096)
         x, waves = grid_waves(model, grid)
-        steps.clear()
+        used.clear()
         evaluate_aperiodic(model, x)
-        assert steps == []
+        assert used == []
         assert _block_waves(model, x.reshape(1, -1), grid.standard_step) is None
         assert _block_waves(model, x[:2048], grid.standard_step) is None
         with pytest.raises(ValueError, match="other nodes"):
@@ -797,7 +819,7 @@ class TestBlockwiseWaves:
                     if kind in ("complex", "tiny"):
                         # the lone mode, imaginary part and all, straight from the product
                         lone = AperiodicModel(**{family: modes[:1]})
-                        waves = _block_waves(lone, x, h, order)
+                        waves = _block_waves(lone, x, h)
                         assert waves.block == min(math.isqrt(N + 1), int(0.5 / (abs(k.imag) * h)))
                         _, c, cos, _ = _pairs_first(_mode_terms(lone, order))
                         got = _mode_product(c, cos, waves)
@@ -957,7 +979,7 @@ class TestSharedWaves:
     """A decomposition's nodes and waves serve every order with the bits of waves made afresh.
 
     The reference is the derivative as (dp + da) * factor, with da evaluated
-    from waves made for that order's own terms.
+    from waves made again at the grid's nodes for each order.
     """
 
     @staticmethod
@@ -971,7 +993,7 @@ class TestSharedWaves:
     @staticmethod
     def fresh(dec, order):
         x = dec.grid.standard_nodes()
-        waves = _block_waves(dec.aperiodic, x, dec.grid.standard_step, order)
+        waves = _block_waves(dec.aperiodic, x, dec.grid.standard_step)
         da = evaluate_aperiodic(dec.aperiodic, x, order, waves=waves)
         return (spectral_derivative_periodic(dec.periodic, order) + da) * standard_chain_factor(dec.grid) ** order
 
@@ -1051,7 +1073,7 @@ class TestSharedWaves:
         x, waves = grid_waves(model, grid)
         for order in range(4):
             with pytest.raises(RealnessViolation) as want:
-                evaluate_aperiodic(model, x, order, waves=_block_waves(model, x, grid.standard_step, order))
+                evaluate_aperiodic(model, x, order, waves=_block_waves(model, x, grid.standard_step))
             with pytest.raises(RealnessViolation) as got:
                 evaluate_aperiodic(model, x, order, waves=waves)
             assert str(got.value) == str(want.value), order
@@ -1077,8 +1099,44 @@ class TestSharedWaves:
         assert small.waves is None and not small.nodes.flags.writeable
 
 
+class TestPairsOfEveryOrder:
+    """The exact pairs are set by the model: every order has the k and paired columns of order 0.
+
+    So the waves a decomposition makes at order 0 serve every order.
+    """
+
+    @staticmethod
+    def check(model, grid):
+        k0, _, _, paired0 = _mode_terms(model, 0)
+        x, waves = grid_waves(model, grid)
+        for order in range(6):
+            terms = _mode_terms(model, order)
+            assert np.array(terms[0], dtype=complex).tobytes() == np.array(k0, dtype=complex).tobytes(), order
+            assert terms[3] == paired0, order
+            if waves is not None:
+                k, _, _, pairs = _pairs_first(terms)
+                assert waves.serve(k, pairs), order
+
+    def test_fitted_and_hand_built_models(self):
+        grid = make_grid(-PI, PI, 4097)
+        models = list(fitted_models()) + sorted(HAND_BUILT.items()) + [
+            ("underflowing", AperiodicModel(sine_modes=((1e-200 + 0j, 1.0 + 0j), (1e-200 + 0j, 2.0 + 0j))))]
+        for label, model in models:
+            try:
+                self.check(model, grid)
+            except AssertionError as exc:
+                raise AssertionError(label) from exc
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2049, 4097, 32768]))
+    @settings(max_examples=30, deadline=None)
+    def test_drawn_models(self, seed, N):
+        rng = np.random.default_rng(seed)
+        grid = make_grid(-PI, PI, N)
+        self.check(TestBlockwiseWaves.draw_model(rng, grid.standard_step), grid)
+
+
 class TestWavesOfOtherNodesOrModels:
-    """Waves given for other nodes raise; waves of another model are made again, never misapplied."""
+    """Waves given for other nodes or another model raise; they are never misapplied."""
 
     MODEL = AperiodicModel(sine_modes=((1.3 + 0j, 0.7 + 0j),))
 
@@ -1105,60 +1163,41 @@ class TestWavesOfOtherNodesOrModels:
         assert_same_bits(evaluate_aperiodic(self.MODEL, other, 1, waves=waves),
                          evaluate_aperiodic(self.MODEL, x, 1, waves=own))
 
-    @staticmethod
-    def rebuilds(monkeypatch):
-        calls = []
-
-        def spy(model, x, h, order=0):
-            calls.append(order)
-            return _block_waves(model, x, h, order)
-
-        monkeypatch.setattr("gfs.core._block_waves", spy)
-        return calls
-
-    def test_waves_of_another_model_are_made_again(self, monkeypatch):
+    def test_waves_of_another_model_raise(self):
         models = [model for _, model in fitted_models()][:6] + [self.MODEL]
         grid = make_grid(-1.0, 2.0, 16384)
         rng = np.random.default_rng(3)
         decs = [TestSharedWaves.decompose(model, grid, rng) for model in models]
-        calls = self.rebuilds(monkeypatch)
         for dec, model in zip(decs, models[1:] + models[:1]):
+            wrong = dataclasses.replace(dec, aperiodic=model)
             for order in (1, 2):
-                calls.clear()
-                wrong = dataclasses.replace(dec, aperiodic=model)
-                assert_same_bits(gfs_derivative(wrong, order).values, TestSharedWaves.fresh(wrong, order))
-                assert len(calls) == 1, order
+                with pytest.raises(ValueError, match="another model"):
+                    gfs_derivative(wrong, order)
         # a model of the same wavenumbers but other amplitudes keeps the waves
-        dec = decs[-1]
-        calls.clear()
-        same_k = dataclasses.replace(dec, aperiodic=AperiodicModel(sine_modes=((1.3 + 0j, -2.0 + 0j),)))
+        same_k = dataclasses.replace(decs[-1], aperiodic=AperiodicModel(sine_modes=((1.3 + 0j, -2.0 + 0j),)))
         assert_same_bits(gfs_derivative(same_k, 1).values, TestSharedWaves.fresh(same_k, 1))
-        assert calls == []
-        # the same wavenumber as a cancelling exact pair and as a lone real
-        # mode: the pair's folded waves would double the lone mode's sinh
+        # the same wavenumber as a cancelling exact pair and as a lone mode:
+        # the pair's folded waves would double the lone mode's sinh
         pair = AperiodicModel(sine_modes=((3j, 0.5 + 0j), (-3j, 0.5 + 0j)))
         lone = AperiodicModel(sine_modes=((3j, -1j),))
         x, waves = grid_waves(pair, make_grid(-PI, PI, 4096))
         for order in range(4):
-            calls.clear()
-            got = evaluate_aperiodic(lone, x, order, waves=waves)
-            assert calls == [order], order
-            assert np.max(np.abs(got - loop_evaluate(lone, x, order))) <= 1e-12 * 3.0 ** order * math.sinh(3 * PI)
+            with pytest.raises(ValueError, match="another model"):
+                evaluate_aperiodic(lone, x, order, waves=waves)
 
-    def test_pair_pattern_of_one_order_makes_waves_again(self, monkeypatch):
+    def test_terms_that_underflow_to_zero_stay_unpaired(self):
         # two real modes of one tiny k: a k^m underflows to 0 from order 2
-        # on, where the two terms become an exact pair and fold into one
+        # on, but the amplitudes differ, so the two terms are never a pair
+        # and the order-0 waves serve every order
         model = AperiodicModel(sine_modes=((1e-200 + 0j, 1.0 + 0j), (1e-200 + 0j, 2.0 + 0j)))
-        grid = make_grid(-PI, PI, 4096)
-        x, waves = grid_waves(model, grid)
+        x, waves = grid_waves(model, make_grid(-PI, PI, 4096))
         assert waves.pairs == 0 and waves.k.size == 2
-        calls = self.rebuilds(monkeypatch)
         for order in range(4):
-            calls.clear()
+            _, c, _, paired = _mode_terms(model, order)
+            assert paired == [False, False], order
             got = evaluate_aperiodic(model, x, order, waves=waves)
-            assert calls == ([order] if order >= 2 else []), order
-            assert_same_bits(got, evaluate_aperiodic(
-                model, x, order, waves=_block_waves(model, x, grid.standard_step, order)))
+            if order >= 2:
+                assert c == [0.0, 0.0] and not got.any(), order
             assert np.max(np.abs(got - loop_evaluate(model, x, order))) <= 16 * EPS, order
 
 
