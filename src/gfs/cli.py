@@ -4,7 +4,7 @@ Examples:
 
     gfs-bench --function gaussian --method gfs --method fft --N 64 --N 128 \
         --n-modes 3 --jumps analytic --out gaussian.csv
-    gfs-bench @runs/multimode.args --N 256
+    gfs-bench @run.args --N 256   # run.args: saved flags, one per line
     gfs-bench --function gaussian --method gfs --N 32 --N 64 --N 128 --sweep
     gfs-bench leakage --N 128 --out leakage.csv
     gfs-bench leakage --N 128 --param k1=5.0 --param k2=12.0

@@ -26,8 +26,9 @@ representable by the periodic FFT part.
 
 A decomposition owns its grid's nodes on [-pi, pi] and, on long grids,
 the waves of its model's blocked mode sum (``ModeWaves``): sin and cos of
-k at the block starts and inside a block. The model's exact conjugate
-pairs, and so the waves, are the same at every derivative order.
+k at the block starts and inside a block, bound to that model and those
+nodes. The model's exact conjugate pairs, and so the waves, are the same
+at every derivative order.
 """
 
 from __future__ import annotations
@@ -250,10 +251,11 @@ def build_aperiodic_model(jumps: JumpData, n):
     Both families are fitted as one stack of two. A family whose jumps all
     sit at the regularization floor is periodic to machine precision and
     gets no modes; a lone live family is a stack of one. When the stack
-    raises (collapsing nodes that shrink a family, a failed root check),
-    each family is fitted again alone, sine first: the families shrink
-    independently, and what is raised is the first failing family's error.
-    The worst case is an empty (pure-periodic) model.
+    fails numerically (collapsing nodes that shrink a family, a failed root
+    check, a failed linear solve), each family is fitted again alone, sine
+    first: the families shrink independently, and what is raised is the
+    first failing family's error. Any other error propagates at once. The
+    worst case is an empty (pure-periodic) model.
     """
     n = integer_arg(n, "mode count n", 1)
     if jumps.q < 4 * n:
@@ -265,7 +267,7 @@ def build_aperiodic_model(jumps: JumpData, n):
     if len(live) == 2:
         try:
             fits = _fit_stack(jumps, live, n)
-        except Exception:
+        except (ArithmeticError, DegenerateNodes, np.linalg.LinAlgError):
             # the families are fitted again one at a time below, sine
             # first: a family whose nodes collapsed shrinks, and the error
             # raised is that of the first family that fails
@@ -322,21 +324,15 @@ def _mode_loop(terms, x):
     return total
 
 
-def _pairs_first(terms):
-    """The terms' columns k, c and cos with the exact pairs first, and the number of pairs."""
-    pairs_first = np.argsort(np.logical_not(terms[3]), kind="stable")
-    k, c, cos = (np.asarray(column)[pairs_first] for column in terms[:3])
-    return k, c, cos, sum(terms[3])
-
-
 @dataclass(frozen=True)
 class ModeWaves:
-    """The order-independent factors of the blocked mode sum at uniform nodes.
+    """The order-independent factors of the blocked sum of ``model`` at the array ``nodes``.
 
-    The nodes x_j ~ x_0 + j h of a grid (``GridSpec.standard_nodes()``,
-    step h) fall into blocks of B points, x_(mB+r) ~ x_(mB) + r h. For the
-    pairs-first wavenumbers k of a model's terms, ``sin_start`` and
-    ``cos_start`` hold sin and cos of k x_(mB) at every block start (a
+    They serve that model object at that array alone. The nodes
+    x_j ~ x_0 + j h of a grid (``GridSpec.standard_nodes()``, step h) fall
+    into blocks of B points, x_(mB+r) ~ x_(mB) + r h. For the wavenumbers k
+    of the model's terms, taken pairs-first (``pairs_first``), ``sin_start``
+    and ``cos_start`` hold sin and cos of k x_(mB) at every block start (a
     last row starts the points after the whole blocks), and ``inner`` holds
     cos(k r h) and sin(k r h), r < B, two rows per term, with the 2 ``pairs``
     leading rows of exact pairs folded to (Re, -Im). Every derivative order
@@ -344,18 +340,14 @@ class ModeWaves:
     cos change with it. All arrays are read-only.
     """
 
+    model: AperiodicModel
     nodes: np.ndarray
-    k: np.ndarray
+    pairs_first: np.ndarray
     pairs: int
     block: int
     sin_start: np.ndarray
     cos_start: np.ndarray
     inner: np.ndarray
-
-    def serve(self, k, pairs):
-        """Whether these waves are those of the pairs-first wavenumbers k with ``pairs`` pairs."""
-        return (pairs == self.pairs and k.dtype == self.k.dtype
-                and k.tobytes() == self.k.tobytes())
 
 
 def _block_waves(model, x, h):
@@ -377,17 +369,18 @@ def _block_waves(model, x, h):
         B = int(0.5 / im)
     if B <= 1:
         return None
-    k, _, _, pairs = _pairs_first(terms)
+    pairs_first = np.argsort(np.logical_not(terms[3]), kind="stable")
+    k = np.asarray(terms[0])[pairs_first]
     start = np.multiply.outer(x[::B], k)
     inner = np.multiply.outer(k, h * np.arange(B))
     inner = np.stack([np.cos(inner), np.sin(inner)], axis=1).reshape(-1, B)
-    n = 2 * pairs
+    n = 2 * sum(terms[3])
     if n:
         # a paired term adds Re(P Q) = (Re P, Im P) @ (Re Q, -Im Q); the
         # waves are float when every term is paired
         inner = np.concatenate([inner.real[:n], -inner.imag[:n]] + ([inner[n:]] if n < len(inner) else []))
-    waves = ModeWaves(x, k, pairs, B, np.sin(start), np.cos(start), inner)
-    for a in (k, waves.sin_start, waves.cos_start, inner):
+    waves = ModeWaves(model, x, pairs_first, n // 2, B, np.sin(start), np.cos(start), inner)
+    for a in (pairs_first, waves.sin_start, waves.cos_start, inner):
         a.flags.writeable = False
     return waves
 
@@ -428,24 +421,23 @@ def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, waves=None):
     tolerance, else RealnessViolation is raised.
 
     Without ``waves`` every term takes one direct wave. Given the
-    ``ModeWaves`` of a grid (``GFSDecomposition.waves``), x must be their
-    nodes and the model's wavenumbers and exact pairs theirs, else
-    ValueError is raised; the whole sum is then one matrix product
-    (``_mode_product``) over blocks of B points: the waves of every term at
-    the block starts times cos and sin of k r h (r < B). The product
-    matches the direct sum within about
-    16 eps sum |c| (1 + |k| pi) cosh(Im k pi).
+    ``ModeWaves`` of a decomposition (``GFSDecomposition.waves``), model
+    and x must be the very objects they were made for, else ValueError is
+    raised; the whole sum is then one matrix product (``_mode_product``)
+    over blocks of B points: the waves of every term at the block starts
+    times cos and sin of k r h (r < B). The product matches the direct sum
+    within about 16 eps sum |c| (1 + |k| pi) cosh(Im k pi).
     """
     order = integer_arg(order, "order", 0)
     x = np.asarray(x, dtype=float)
     terms = _mode_terms(model, order)
-    if waves is not None:
-        if x is not waves.nodes and not np.array_equal(x, waves.nodes):
-            raise ValueError("the waves belong to other nodes than x")
-        k, c, cos, pairs = _pairs_first(terms)
-        if not waves.serve(k, pairs):
-            raise ValueError("the waves belong to another model")
-    total = _mode_product(c, cos, waves) if waves is not None else _mode_loop(terms, x)
+    if waves is None:
+        total = _mode_loop(terms, x)
+    elif waves.model is model and waves.nodes is x:
+        c, cos = (np.asarray(column)[waves.pairs_first] for column in terms[1:3])
+        total = _mode_product(c, cos, waves)
+    else:
+        raise ValueError("the waves belong to another model or other nodes than x")
     if np.iscomplexobj(total) and total.size:
         scale = 1.0 + np.max(np.abs(total.real))
         max_imag = np.max(np.abs(total.imag))
@@ -471,9 +463,10 @@ class GFSDecomposition:
 
     The decomposition owns the grid's nodes on [-pi, pi]
     (``GridSpec.standard_nodes()``) and, where the mode sum takes the
-    blocked product, the model's ``ModeWaves`` at them (None on the direct
-    path: fewer than BLOCK_MIN_POINTS nodes, an empty model, or B <= 1).
-    Both are read-only and serve every derivative order.
+    blocked product, the ``ModeWaves`` of its own model at those nodes
+    (None on the direct path: fewer than BLOCK_MIN_POINTS nodes, an empty
+    model, or B <= 1). Both are read-only and serve every derivative order;
+    the waves serve no other model or node array.
     """
 
     grid: GridSpec

@@ -18,7 +18,6 @@ from gfs.core import (
     _block_waves,
     _mode_product,
     _mode_terms,
-    _pairs_first,
     build_aperiodic_model,
     evaluate_aperiodic,
     gfs_decompose,
@@ -591,6 +590,23 @@ class TestStackedFit:
         build_aperiodic_model(jumps, n)
         assert len(checked) == rows, checked
 
+    def test_programming_errors_are_not_refitted(self, monkeypatch):
+        # only numerical failures of the stack of two send each family to
+        # be fitted again alone: a TypeError is raised from the one call
+        import gfs.core
+        calls = []
+
+        def broken(modes, jumps, parities):
+            calls.append(parities)
+            if len(parities) == 2:
+                raise TypeError("broken stage")
+            return solve_mode_amplitudes(modes, jumps, parities)
+
+        monkeypatch.setattr(gfs.core, "solve_mode_amplitudes", broken)
+        with pytest.raises(TypeError, match="broken stage"):
+            build_aperiodic_model(jumps_from_analytic(get_function("gaussian"), 12), 3)
+        assert calls == [("even", "odd")]
+
 
 # Q_0..Q_3 = sin, cos, -sin, -cos as (sign, wave): the order-m derivative of
 # a sin(k x) is a k^m Q_(m mod 4)(k x), and a cosine mode sits one turn later
@@ -821,8 +837,9 @@ class TestBlockwiseWaves:
                         lone = AperiodicModel(**{family: modes[:1]})
                         waves = _block_waves(lone, x, h)
                         assert waves.block == min(math.isqrt(N + 1), int(0.5 / (abs(k.imag) * h)))
-                        _, c, cos, _ = _pairs_first(_mode_terms(lone, order))
-                        got = _mode_product(c, cos, waves)
+                        _, c, cos, _ = _mode_terms(lone, order)
+                        got = _mode_product(np.asarray(c)[waves.pairs_first],
+                                            np.asarray(cos)[waves.pairs_first], waves)
                         want = sign * k ** order * wave(k * x)
                         assert np.max(np.abs(got - want)) <= bound / 2, (k, order, family)
 
@@ -1090,8 +1107,8 @@ class TestSharedWaves:
     def test_nodes_and_waves_are_read_only(self):
         f = get_function("gaussian")
         dec = gfs_decompose(sample(f, make_grid(0.0, 1.0, 4096)), 3, jumps_from_analytic(f, 12))
-        assert dec.waves.nodes is dec.nodes
-        for name in ("nodes", "k", "sin_start", "cos_start", "inner"):
+        assert dec.waves.nodes is dec.nodes and dec.waves.model is dec.aperiodic
+        for name in ("nodes", "pairs_first", "sin_start", "cos_start", "inner"):
             array = getattr(dec.waves, name)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
@@ -1102,7 +1119,9 @@ class TestSharedWaves:
 class TestPairsOfEveryOrder:
     """The exact pairs are set by the model: every order has the k and paired columns of order 0.
 
-    So the waves a decomposition makes at order 0 serve every order.
+    So the waves a decomposition makes at order 0 serve every order: the
+    order's terms, taken in the waves' pairs-first order, have the exact
+    pairs first and the wavenumbers of the block-start waves.
     """
 
     @staticmethod
@@ -1114,8 +1133,11 @@ class TestPairsOfEveryOrder:
             assert np.array(terms[0], dtype=complex).tobytes() == np.array(k0, dtype=complex).tobytes(), order
             assert terms[3] == paired0, order
             if waves is not None:
-                k, _, _, pairs = _pairs_first(terms)
-                assert waves.serve(k, pairs), order
+                paired = np.array(terms[3])[waves.pairs_first].tolist()
+                assert paired == [True] * waves.pairs + [False] * (len(paired) - waves.pairs), order
+                k = np.array(terms[0], dtype=complex)[waves.pairs_first]
+                assert_same_bits(waves.sin_start.view(float),
+                                 np.sin(np.multiply.outer(x[::waves.block], k)).view(float))
 
     def test_fitted_and_hand_built_models(self):
         grid = make_grid(-PI, PI, 4097)
@@ -1136,7 +1158,7 @@ class TestPairsOfEveryOrder:
 
 
 class TestWavesOfOtherNodesOrModels:
-    """Waves given for other nodes or another model raise; they are never misapplied."""
+    """Waves given any model or node array but their own raise, equal copies included."""
 
     MODEL = AperiodicModel(sine_modes=((1.3 + 0j, 0.7 + 0j),))
 
@@ -1157,11 +1179,14 @@ class TestWavesOfOtherNodesOrModels:
         for N in (4095, 4097, 8192):
             with pytest.raises(ValueError, match="other nodes"):
                 evaluate_aperiodic(self.MODEL, make_grid(-PI, PI, N).standard_nodes(), 1, waves=waves)
-        # equal nodes of another grid or array serve: the same bits as the waves' own
+        # equal nodes of another grid or array raise too; the waves' own serve
         x, own = grid_waves(self.MODEL, make_grid(-PI, PI, 4096))
-        other = make_grid(3.0, 7.0, 4096).standard_nodes()
-        assert_same_bits(evaluate_aperiodic(self.MODEL, other, 1, waves=waves),
-                         evaluate_aperiodic(self.MODEL, x, 1, waves=own))
+        for other in (make_grid(3.0, 7.0, 4096).standard_nodes(), x.copy(), x):
+            assert np.array_equal(other, x)
+            with pytest.raises(ValueError, match="other nodes"):
+                evaluate_aperiodic(self.MODEL, other, 1, waves=waves)
+        got = evaluate_aperiodic(self.MODEL, x, 1, waves=own)
+        assert np.max(np.abs(got - loop_evaluate(self.MODEL, x, 1))) <= 16 * EPS * (1 + 1.3 * PI)
 
     def test_waves_of_another_model_raise(self):
         models = [model for _, model in fitted_models()][:6] + [self.MODEL]
@@ -1173,9 +1198,10 @@ class TestWavesOfOtherNodesOrModels:
             for order in (1, 2):
                 with pytest.raises(ValueError, match="another model"):
                     gfs_derivative(wrong, order)
-        # a model of the same wavenumbers but other amplitudes keeps the waves
+        # a model of the same wavenumbers but other amplitudes raises too
         same_k = dataclasses.replace(decs[-1], aperiodic=AperiodicModel(sine_modes=((1.3 + 0j, -2.0 + 0j),)))
-        assert_same_bits(gfs_derivative(same_k, 1).values, TestSharedWaves.fresh(same_k, 1))
+        with pytest.raises(ValueError, match="another model"):
+            gfs_derivative(same_k, 1)
         # the same wavenumber as a cancelling exact pair and as a lone mode:
         # the pair's folded waves would double the lone mode's sinh
         pair = AperiodicModel(sine_modes=((3j, 0.5 + 0j), (-3j, 0.5 + 0j)))
@@ -1191,7 +1217,7 @@ class TestWavesOfOtherNodesOrModels:
         # and the order-0 waves serve every order
         model = AperiodicModel(sine_modes=((1e-200 + 0j, 1.0 + 0j), (1e-200 + 0j, 2.0 + 0j)))
         x, waves = grid_waves(model, make_grid(-PI, PI, 4096))
-        assert waves.pairs == 0 and waves.k.size == 2
+        assert waves.pairs == 0 and waves.pairs_first.size == 2
         for order in range(4):
             _, c, _, paired = _mode_terms(model, order)
             assert paired == [False, False], order
@@ -1199,6 +1225,21 @@ class TestWavesOfOtherNodesOrModels:
             if order >= 2:
                 assert c == [0.0, 0.0] and not got.any(), order
             assert np.max(np.abs(got - loop_evaluate(model, x, order))) <= 16 * EPS, order
+
+    def test_equal_copies_of_a_decompositions_nodes_or_model_raise(self):
+        # the waves serve the decomposition's own objects alone, not equal copies
+        f = get_function("gaussian")
+        dec = gfs_decompose(sample(f, make_grid(0.0, 1.0, 4096)), 3, jumps_from_analytic(f, 12))
+        assert dec.waves is not None
+        model = AperiodicModel(sine_modes=dec.aperiodic.sine_modes, cosine_modes=dec.aperiodic.cosine_modes)
+        assert model == dec.aperiodic and model is not dec.aperiodic
+        for wrong, match in ((dataclasses.replace(dec, nodes=dec.nodes.copy()), "other nodes"),
+                             (dataclasses.replace(dec, aperiodic=model), "another model")):
+            for order in (1, 2):
+                with pytest.raises(ValueError, match=match):
+                    gfs_derivative(wrong, order)
+        # the decomposition itself still takes its waves
+        gfs_derivative(dec, 1)
 
 
 @pytest.mark.parametrize("N", [8, 9, 64, 65, 1023, 4096, 32768])
