@@ -68,6 +68,21 @@ def bernoulli_polynomial(m, x):
     return np.polyval(coeffs[::-1], x)
 
 
+def _horner_rows(table, x):
+    """Each column of ``table`` (descending coefficients) at the vector ``x``, as rows.
+
+    One in-place Horner pass for all columns, with ``np.polyval``'s steps
+    y = y * x + c from y = 0. Through a column's zero padding at the top y
+    stays an exact 0, so each row has the bits of ``np.polyval`` on its
+    unpadded column.
+    """
+    y = np.zeros((table.shape[1], x.size))
+    for row in table:
+        y *= x
+        y += row[:, None]
+    return y
+
+
 def _seam_fraction(x):
     """xi / 2 pi for xi = mod(x + pi, 2 pi), with xi = 2 pi at the right end of the period."""
     xi = np.fmod(x + PI, TWO_PI)
@@ -76,8 +91,18 @@ def _seam_fraction(x):
     return xi / TWO_PI
 
 
-def _eckhoff_V_at(m, t):
-    return -(TWO_PI ** m) / factorial(m + 1) * bernoulli_polynomial(m + 1, t)
+def _eckhoff_bases(q, t):
+    """V_0..V_{q-1} at the seam fractions ``t`` (a vector), as rows of a (q, t.size) array.
+
+    One Horner pass over the coefficients of B_1..B_q, each zero-padded at
+    the top to degree q; row m is B_{m+1} times -(2 pi)^m / (m+1)!.
+    """
+    table = np.zeros((q + 1, q))
+    for m in range(q):
+        table[q - m - 1:, m] = bernoulli_coefficients(m + 1)[::-1]
+    V = _horner_rows(table, t)
+    V *= np.array([-(TWO_PI ** m) / factorial(m + 1) for m in range(q)])[:, None]
+    return V
 
 
 def eckhoff_V(m, x):
@@ -90,22 +115,24 @@ def eckhoff_V(m, x):
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _eckhoff_V_at(m, _seam_fraction(x))
+    V = _eckhoff_bases(m + 1, np.ravel(_seam_fraction(x)))
+    return V[m].reshape(np.shape(x))[()]
 
 
 def eckhoff_singular(jumps: JumpData, x):
     """(s(x), s'(x)) for s = sum_m A^m V_m with A^m = -J_m; x may be an array.
 
-    s' uses d/dx V_m = V_{m-1}, and V_0' is the constant -1/(2 pi). The
-    wrapped coordinate and each V_m are built once for both sums.
+    s' uses d/dx V_m = V_{m-1}, and V_0' is the constant -1/(2 pi). Both
+    sums add the orders one at a time, left to right, s starting from
+    Python's 0 (which turns a -0.0 into +0.0): summing the bases as one
+    combined polynomial in the seam fraction loses accuracy at high q.
     """
-    t = _seam_fraction(x)
-    V = [_eckhoff_V_at(m, t) for m in range(jumps.q)]
-    s = sum(-jumps.J[m] * V[m] for m in range(jumps.q))
-    s_deriv = np.full(np.shape(x), -jumps.J[0] * (-1.0 / TWO_PI))
-    for m in range(1, jumps.q):
-        s_deriv += -jumps.J[m] * V[m - 1]
-    return s, s_deriv
+    shape = np.shape(x)
+    V = _eckhoff_bases(jumps.q, np.ravel(_seam_fraction(x)))
+    A = -jumps.J[:, None]
+    s = sum(A * V)
+    s_deriv = sum(A[1:] * V[:-1], np.full(V.shape[1], -jumps.J[0] * (-1.0 / TWO_PI)))
+    return s.reshape(shape)[()], s_deriv.reshape(shape)[()]
 
 
 def eckhoff_derivative(u: SampledSignal, jumps: JumpData):
@@ -132,20 +159,24 @@ def roache_coefficients(jumps: JumpData, q):
 
     Descending recursion: the top coefficient comes from J_{q-1} alone,
     then each a_k absorbs the contribution of the higher terms to the
-    (k-1)-th jump. a_0 is free and set to zero.
+    (k-1)-th jump. a_0 is free and set to zero. The recursion runs on
+    Python floats; an integer factorial converts to float with numpy's
+    rounding, so the bits are those of the same recursion on numpy scalars.
     """
     q = integer_arg(q, "q", 1)
     if jumps.q < q:
         raise ValueError(f"need {q} jumps, have {jumps.q}")
-    a = np.zeros(q + 1)
-    a[q] = jumps.J[q - 1] / (TWO_PI * factorial(q))
+    J = jumps.J.tolist()
+    fact = [factorial(j) for j in range(q + 2)]
+    span = [PI ** j - (-PI) ** j for j in range(q + 2)]
+    a = [0.0] * (q + 1)
+    a[q] = J[q - 1] / (TWO_PI * fact[q])
     for k in range(q - 1, 0, -1):
         acc = 0.0
         for m in range(k + 1, q + 1):
-            span = PI ** (m - k + 1) - (-PI) ** (m - k + 1)
-            acc += a[m] * factorial(m) / (factorial(k) * factorial(m - k + 1)) * span
-        a[k] = (jumps.J[k - 1] / factorial(k) - acc) / TWO_PI
-    return a
+            acc += a[m] * fact[m] / (fact[k] * fact[m - k + 1]) * span[m - k + 1]
+        a[k] = (J[k - 1] / fact[k] - acc) / TWO_PI
+    return np.array(a)
 
 
 def polynomial_jump(coeffs, m):
@@ -163,9 +194,11 @@ def roache_derivative(u: SampledSignal, jumps: JumpData, q):
     sj = to_standard_jumps(jumps, grid)
     a = roache_coefficients(sj, q)
     xs = grid.standard_nodes()
-    g = np.polyval(a[::-1], xs)
-    da = a[1:] * np.arange(1, a.size)
-    g_deriv = np.polyval(da[::-1], xs)
+    # g and g' = sum k a_k x^(k-1) as the two columns of one Horner pass
+    table = np.zeros((q + 1, 2))
+    table[:, 0] = a[::-1]
+    table[1:, 1] = (a[1:] * np.arange(1, q + 1))[::-1]
+    g, g_deriv = _horner_rows(table, xs)
     smooth_deriv = spectral_derivative_periodic(u.values - g, 1)
     return SampledSignal(grid, (smooth_deriv + g_deriv) * standard_chain_factor(grid))
 

@@ -165,7 +165,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     covers the method's own work (FD jump estimation included).
 
     Method-level numerical failures (an ArithmeticError such as Prony
-    ill-conditioning, a fit's realness violation or a root residual;
+    ill-conditioning, a fit's realness violation, a root residual or a
+    non-finite gfs derivative;
     degenerate mode nodes; grids too small for the requested stencils)
     become rows with infinite error and the exception's class name as
     their note rather than aborting the run.
@@ -181,7 +182,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         # now, so the first gfs row's wall_ms does not carry their one-off cost.
         jump_stencils(4 * cfg.n_modes - 1 + cfg.fd_jump_order)
     if "eckhoff" in cfg.methods:
-        # the same for the exact Bernoulli coefficients eckhoff reads
+        # the same for the exact Bernoulli coefficients eckhoff's padded
+        # table is derived from on each call (roache reads no table)
         for m in range(1, cfg.q + 1):
             bernoulli_coefficients(m)
     _warm_up_numpy()

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gfs.grid import GridSpec, SampledSignal, integer_arg, standard_chain_factor
+from gfs.grid import BadSample, GridSpec, SampledSignal, integer_arg, standard_chain_factor
 from gfs.jumps import JumpData, to_standard_jumps
 from gfs.linalg import (DegenerateNodes, complex_principal_sqrt, polynomial_roots, solve_least_squares,
                         solve_transposed_vandermonde)
@@ -64,6 +64,10 @@ BLOCK_MIN_POINTS = 2049
 
 class RealnessViolation(ArithmeticError):
     """The aperiodic model produced a non-negligible imaginary part."""
+
+
+class NonFiniteDerivative(ArithmeticError):
+    """A derivative overflowed or came out NaN at some grid node."""
 
 
 @dataclass(frozen=True)
@@ -494,11 +498,14 @@ def gfs_derivative(dec: GFSDecomposition, order=1):
     Periodic part by FFT (nodes 0..N-1, node N from periodic extension),
     aperiodic part analytically from the decomposition's nodes and waves;
     both in standard coordinates, then the chain factor maps back to the
-    original interval.
+    original interval. A non-finite value raises ``NonFiniteDerivative``.
     """
     order = integer_arg(order, "order", 1)
     grid = dec.grid
     du = spectral_derivative_periodic(dec.periodic, order)
     du += evaluate_aperiodic(dec.aperiodic, dec.nodes, order, waves=dec.waves)
     du *= standard_chain_factor(grid) ** order
-    return SampledSignal(grid, du)
+    try:
+        return SampledSignal(grid, du)
+    except BadSample as exc:
+        raise NonFiniteDerivative(f"non-finite derivative at node {exc.node_index}") from None

@@ -182,19 +182,65 @@ def _eckhoff_V_ref(m, x):
     return -((2 * PI) ** m) / math.factorial(m + 1) * _bernoulli_ref(m + 1, xi / (2 * PI))
 
 
+def _eckhoff_singular_ref(jumps, xs):
+    # per node and per order: each sum starts from Python's 0
+    s = np.array([sum(-jumps.J[m] * _eckhoff_V_ref(m, x) for m in range(jumps.q)) for x in xs])
+    s_deriv = []
+    for x in xs:
+        total = -jumps.J[0] * (-1.0 / (2 * PI))
+        for m in range(1, jumps.q):
+            total += -jumps.J[m] * _eckhoff_V_ref(m - 1, x)
+        s_deriv.append(total)
+    return s, np.array(s_deriv)
+
+
 def _eckhoff_derivative_ref(u, jumps):
     grid = u.grid
     sj = to_standard_jumps(jumps, grid)
-    xs = grid.standard_nodes()
-    s = np.array([sum(-sj.J[m] * _eckhoff_V_ref(m, x) for m in range(sj.q)) for x in xs])
-    s_deriv = []
-    for x in xs:
-        total = -sj.J[0] * (-1.0 / (2 * PI))
-        for m in range(1, sj.q):
-            total += -sj.J[m] * _eckhoff_V_ref(m - 1, x)
-        s_deriv.append(total)
+    s, s_deriv = _eckhoff_singular_ref(sj, grid.standard_nodes())
     smooth_deriv = spectral_derivative_periodic(u.values - s, 1)
-    return (smooth_deriv + np.array(s_deriv)) * standard_chain_factor(grid)
+    return (smooth_deriv + s_deriv) * standard_chain_factor(grid)
+
+
+def _roache_coefficients_ref(jumps, q):
+    # the recursion on numpy scalars, with the factorials of each term
+    a = np.zeros(q + 1)
+    a[q] = jumps.J[q - 1] / (2 * PI * math.factorial(q))
+    for k in range(q - 1, 0, -1):
+        acc = 0.0
+        for m in range(k + 1, q + 1):
+            span = PI ** (m - k + 1) - (-PI) ** (m - k + 1)
+            acc += a[m] * math.factorial(m) / (math.factorial(k) * math.factorial(m - k + 1)) * span
+        a[k] = (jumps.J[k - 1] / math.factorial(k) - acc) / (2 * PI)
+    return a
+
+
+def _roache_derivative_ref(u, jumps, q):
+    # g and g' by one np.polyval each
+    grid = u.grid
+    a = _roache_coefficients_ref(to_standard_jumps(jumps, grid), q)
+    xs = grid.standard_nodes()
+    g = np.polyval(a[::-1], xs)
+    da = a[1:] * np.arange(1, a.size)
+    g_deriv = np.polyval(da[::-1], xs)
+    smooth_deriv = spectral_derivative_periodic(u.values - g, 1)
+    return (smooth_deriv + g_deriv) * standard_chain_factor(grid)
+
+
+def _seeded_jumps(q, seed):
+    # magnitudes from 1e-15 to 1e15, both signs, and a zero jump (a -0.0
+    # term) among three or more
+    rng = np.random.default_rng(seed)
+    J = rng.choice([-1.0, 1.0], q) * 10.0 ** rng.uniform(-15, 15, q)
+    if q >= 3:
+        J[q // 2] = 0.0
+    return JumpData(J=J)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 ARRAY_INTERVALS = [(-PI, PI), (0.0, 1.0), (-1.0, 2.5)]
@@ -228,8 +274,20 @@ class TestArrayEqualsScalar:
         f = get_function("gaussian")
         u = sample(f, make_grid(a, b, N))
         jumps = jumps_from_analytic(f, 12)
-        np.testing.assert_array_equal(eckhoff_derivative(u, jumps).values,
-                                      _eckhoff_derivative_ref(u, jumps))
+        assert_same_bits(eckhoff_derivative(u, jumps).values, _eckhoff_derivative_ref(u, jumps))
+        for q in (1, 2, 5, 12, 33):
+            jumps = _seeded_jumps(q, seed=N * q)
+            assert_same_bits(eckhoff_derivative(u, jumps).values, _eckhoff_derivative_ref(u, jumps))
+
+    @pytest.mark.parametrize("q", [1, 2, 5, 12, 33])
+    def test_eckhoff_singular_at_the_seam(self, q):
+        # at the midpoint 0 every even order's V_m is a signed zero: for
+        # q = 1 the sum over orders turns a -0.0 into +0.0
+        x = np.append(SEAM_NODES, 0.0)
+        J = _seeded_jumps(q, seed=q).J
+        for jumps in (JumpData(J=J), JumpData(J=-J)):
+            for got, want in zip(eckhoff_singular(jumps, x), _eckhoff_singular_ref(jumps, x)):
+                assert_same_bits(got, want)
 
     def test_singular_parts_of_one_jump(self):
         # q = 1: the singular derivative is a constant, still one per node
@@ -238,6 +296,26 @@ class TestArrayEqualsScalar:
         s, s_deriv = eckhoff_singular(jumps, x)
         np.testing.assert_array_equal(s_deriv, np.ones(33))
         np.testing.assert_array_equal(s, [-2 * PI * _eckhoff_V_ref(0, v) for v in x])
+
+
+class TestRoacheBits:
+    """The float recursion and the two-row Horner pass keep the numpy-scalar recursion's
+    and np.polyval's bits."""
+
+    @pytest.mark.parametrize("q", range(1, 35))
+    def test_coefficients(self, q):
+        for seed in range(20):
+            jumps = _seeded_jumps(q, seed=1000 * q + seed)
+            assert_same_bits(roache_coefficients(jumps, q), _roache_coefficients_ref(jumps, q))
+
+    @pytest.mark.parametrize("a, b", ARRAY_INTERVALS)
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    def test_derivative(self, a, b, N):
+        f = get_function("gaussian")
+        u = sample(f, make_grid(a, b, N))
+        for q in (1, 2, 5, 12, 24):
+            for jumps in (jumps_from_analytic(f, q), _seeded_jumps(q, seed=N * q)):
+                assert_same_bits(roache_derivative(u, jumps, q).values, _roache_derivative_ref(u, jumps, q))
 
 
 class TestRoache:

@@ -20,6 +20,7 @@ from gfs.bench import (
 )
 from gfs.baselines import bernoulli_coefficients
 from gfs.cli import main as cli_main
+from gfs.core import AperiodicModel, GFSDecomposition
 from gfs.jumps import _fornberg_table, jump_stencils
 from gfs.linalg import DegenerateNodes
 
@@ -257,6 +258,44 @@ def test_bernoulli_coefficients_are_built_before_the_first_timed_window(monkeypa
                                     N_list=(32, 33), q=12))
     assert sizes and sizes[0] == 12
     assert sizes[-1] == sizes[0]
+
+
+def test_baseline_rows_build_no_table_inside_a_timed_window(monkeypatch):
+    # eckhoff derives its padded Bernoulli table on each call from the
+    # cached B_1..B_q, and roache reads no cached table: with both methods
+    # at the largest eckhoff q, every cache is full before the first timed
+    # window and none grows inside one
+    bernoulli_coefficients.cache_clear()
+    _warm_up_numpy.cache_clear()
+    caches = (bernoulli_coefficients, _fornberg_table, jump_stencils, _warm_up_numpy)
+    sizes = []
+    clock = time.perf_counter
+
+    def recording_clock():
+        sizes.append(tuple(c.cache_info().currsize for c in caches))
+        return clock()
+
+    monkeypatch.setattr(time, "perf_counter", recording_clock)
+    rows = run_experiment(ExperimentConfig(function="gaussian", methods=("eckhoff", "roache"),
+                                           N_list=(32, 64), q=33)).rows
+    assert [(r.method, r.note) for r in rows] == [("eckhoff", ""), ("eckhoff", ""),
+                                                   ("roache", ""), ("roache", "")]
+    assert len(sizes) == 8 and sizes[0][0] == 33 and sizes[0][3] == 1
+    assert set(sizes) == {sizes[0]}
+
+
+def test_a_non_finite_gfs_derivative_becomes_a_noted_row(monkeypatch):
+    # the sine mode (3.5, 1e308) overflows at order 1: the table keeps the
+    # row, as for any numerical failure, instead of aborting
+    def overflowing_decomposition(u, n, jumps):
+        model = AperiodicModel(sine_modes=((3.5, 1e308),))
+        return GFSDecomposition(grid=u.grid, periodic=np.zeros(u.grid.N + 1), aperiodic=model,
+                                nodes=u.grid.standard_nodes(), waves=None)
+
+    monkeypatch.setattr(gfs.bench, "gfs_decompose", overflowing_decomposition)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = run_experiment(ExperimentConfig(function="gaussian", methods=("gfs",), N_list=(64,))).rows
+    assert [(r.e_inf, r.note) for r in rows] == [(math.inf, "NonFiniteDerivative")]
 
 
 class TestLeakageDemo:

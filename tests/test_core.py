@@ -14,6 +14,8 @@ from gfs.core import (
     NEAR_HARMONIC_TOL,
     REALNESS_TOL,
     AperiodicModel,
+    GFSDecomposition,
+    NonFiniteDerivative,
     RealnessViolation,
     _block_waves,
     _mode_product,
@@ -1373,7 +1375,22 @@ class TestDecompose:
             gfs_decompose(u, n, jumps_from_analytic(f, 8))
 
 
+def overflowing_decomposition():
+    """A 64-interval decomposition whose sine mode (3.5, 1e308) overflows at order 1."""
+    g = make_grid(-PI, PI, 64)
+    return GFSDecomposition(grid=g, periodic=np.zeros(65),
+                            aperiodic=AperiodicModel(sine_modes=((3.5, 1e308),)),
+                            nodes=g.standard_nodes(), waves=None)
+
+
 class TestDerivative:
+    def test_non_finite_derivative_is_a_numerical_failure(self):
+        # not BadSample, the ValueError of a function that cannot be sampled
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteDerivative, match="^non-finite derivative at node 0$"):
+                gfs_derivative(overflowing_decomposition(), 1)
+        assert issubclass(NonFiniteDerivative, ArithmeticError)
+
     def test_pure_harmonic(self):
         g = make_grid(-PI, PI, 64)
         u = sample(lambda x: math.sin(3 * x), g)
