@@ -1375,20 +1375,17 @@ class TestDecompose:
             gfs_decompose(u, n, jumps_from_analytic(f, 8))
 
 
-def overflowing_decomposition():
-    """A 64-interval decomposition whose sine mode (3.5, 1e308) overflows at order 1."""
-    g = make_grid(-PI, PI, 64)
-    return GFSDecomposition(grid=g, periodic=np.zeros(65),
-                            aperiodic=AperiodicModel(sine_modes=((3.5, 1e308),)),
-                            nodes=g.standard_nodes(), waves=None)
-
-
 class TestDerivative:
     def test_non_finite_derivative_is_a_numerical_failure(self):
+        # the sine mode (3.5, 1e308) overflows at order 1: an ArithmeticError,
         # not BadSample, the ValueError of a function that cannot be sampled
+        g = make_grid(-PI, PI, 64)
+        dec = GFSDecomposition(grid=g, periodic=np.zeros(65),
+                               aperiodic=AperiodicModel(sine_modes=((3.5, 1e308),)),
+                               nodes=g.standard_nodes(), waves=None)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteDerivative, match="^non-finite derivative at node 0$"):
-                gfs_derivative(overflowing_decomposition(), 1)
+                gfs_derivative(dec, 1)
         assert issubclass(NonFiniteDerivative, ArithmeticError)
 
     def test_pure_harmonic(self):
