@@ -24,11 +24,11 @@ Modes within floating-point distance of an integer carry no jump
 information (sin(k pi) ~ 0) and are dropped; their content is
 representable by the periodic FFT part.
 
-A decomposition owns its grid's nodes on [-pi, pi] and, on long grids,
-the waves of its model's blocked mode sum (``ModeWaves``): sin and cos of
-k at the block starts and inside a block, bound to that model and those
-nodes. The model's exact conjugate pairs, and so the waves, are the same
-at every derivative order.
+A decomposition holds the shared read-only nodes on [-pi, pi] of its N
+and, on long grids, the waves of its model's blocked mode sum
+(``ModeWaves``): sin and cos of k at the block starts and inside a block,
+bound to that model and those nodes. The model's exact conjugate pairs,
+and so the waves, are the same at every derivative order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gfs.grid import BadSample, GridSpec, SampledSignal, integer_arg, standard_chain_factor
+from gfs.grid import BadSample, GridSpec, SampledSignal, integer_arg, standard_chain_factor, standard_nodes
 from gfs.jumps import JumpData, to_standard_jumps
 from gfs.linalg import (DegenerateNodes, complex_principal_sqrt, polynomial_roots, solve_least_squares,
                         solve_transposed_vandermonde)
@@ -282,45 +282,52 @@ def build_aperiodic_model(jumps: JumpData, n):
     return AperiodicModel(sine_modes=modes.get("even", ()), cosine_modes=modes.get("odd", ()))
 
 
-def _mode_terms(model, order):
-    """The order-th derivative of the mode sum as terms c Q_t(k x), formed once for both paths.
+def _mode_terms(model):
+    """The mode sum's terms as columns k, a, cos (a cosine mode's) and paired, formed once per model.
+
+    A mode whose (k, a) is exactly (conj k_i, conj a_i) of an earlier mode
+    i of the same family folds into i, which then adds 2 Re of its term
+    (paired_i set): exact pairs leave no imaginary part, however large their
+    terms. numpy's scalar complex power and product are conjugate-symmetric,
+    so the partner's term is exactly conj of i's at every order.
+    """
+    k, a, cos, paired = [], [], [], []
+    unpaired = {}  # (cos, k, a) -> index of a term still without a partner
+    for odd, modes in enumerate((model.sine_modes, model.cosine_modes)):
+        for k_j, a_j in modes:
+            if (i := unpaired.pop((odd, np.conj(k_j), np.conj(a_j)), None)) is not None:
+                paired[i] = True
+                continue
+            unpaired[(odd, k_j, a_j)] = len(k)
+            k.append(k_j)
+            a.append(a_j)
+            cos.append(odd == 1)
+            paired.append(False)
+    return k, a, cos, paired
+
+
+def _order_terms(terms, order):
+    """The columns c and cos of the order-th derivative of the terms: each is c Q_t(k x).
 
     Q_0..Q_3 are sin, cos, -sin, -cos; a sine mode's term takes
     t = order mod 4 and a cosine mode's one turn more, so each term is
-    c sin(k x) or c cos(k x) with c = +-a k^order. A mode whose (k, a) is
-    exactly (conj k_i, conj a_i) of an earlier mode i of the same family
-    folds into i, which then adds 2 Re of its term (c_i doubled, paired_i
-    set): exact pairs leave no imaginary part, however large their terms.
-    numpy's scalar complex power and product are conjugate-symmetric, so
-    the partner's c is exactly conj c_i at every order, and the columns k
-    and paired do not depend on the order.
-
-    Returns the columns k, c, cos (the term's wave is cos) and paired as lists.
+    c sin(k x) or c cos(k x) with c = +-a k^order, doubled for a pair.
     """
-    k, c, cos, paired = [], [], [], []
-    unpaired = {}  # (cos, k, a) -> index of a term still without a partner
-    for turn, modes in enumerate((model.sine_modes, model.cosine_modes), start=order):
-        odd = turn % 2 == 1
-        for k_j, a in modes:
-            if (i := unpaired.pop((odd, np.conj(k_j), np.conj(a)), None)) is not None:
-                c[i] *= 2.0
-                paired[i] = True
-                continue
-            c_j = a * k_j ** order
-            if turn % 4 >= 2:
-                c_j = -c_j
-            unpaired[(odd, k_j, a)] = len(k)
-            k.append(k_j)
-            c.append(c_j)
-            cos.append(odd)
-            paired.append(False)
-    return k, c, cos, paired
+    c, cos = [], []
+    for k, a, odd, paired in zip(*terms):
+        turn = order + odd
+        c_j = a * k ** order
+        if turn % 4 >= 2:
+            c_j = -c_j
+        c.append(c_j * 2.0 if paired else c_j)
+        cos.append(turn % 2 == 1)
+    return c, cos
 
 
-def _mode_loop(terms, x):
+def _mode_loop(terms, order, x):
     """The mode sum at any x, one direct wave per term; float when every term is a pair."""
     total = np.zeros(x.shape, dtype=float if all(terms[3]) else complex)
-    for k, c, cos, paired in zip(*terms):
+    for k, c, cos, paired in zip(terms[0], *_order_terms(terms, order), terms[3]):
         wave = np.cos if cos else np.sin
         # a real wavenumber takes the float wave: the same real part
         term = c * (wave(k.real * x) if k.imag == 0.0 else wave(k * x))
@@ -332,21 +339,20 @@ def _mode_loop(terms, x):
 class ModeWaves:
     """The order-independent factors of the blocked sum of ``model`` at the array ``nodes``.
 
-    They serve that model object at that array alone. The nodes
-    x_j ~ x_0 + j h of a grid (``GridSpec.standard_nodes()``, step h) fall
-    into blocks of B points, x_(mB+r) ~ x_(mB) + r h. For the wavenumbers k
-    of the model's terms, taken pairs-first (``pairs_first``), ``sin_start``
-    and ``cos_start`` hold sin and cos of k x_(mB) at every block start (a
-    last row starts the points after the whole blocks), and ``inner`` holds
-    cos(k r h) and sin(k r h), r < B, two rows per term, with the 2 ``pairs``
-    leading rows of exact pairs folded to (Re, -Im). Every derivative order
-    takes the same waves: only the coefficients c and the choice of sin or
-    cos change with it. All arrays are read-only.
+    They serve that model object at that array alone; a decomposition's are
+    the shared nodes ``standard_nodes(N)`` of its N, step h, which fall into
+    blocks of B points, x_(mB+r) ~ x_(mB) + r h. For the wavenumbers k of
+    ``terms``, the model's ``_mode_terms`` pairs-first as tuples,
+    ``sin_start`` and ``cos_start`` hold sin and cos of k x_(mB) at every
+    block start (a last row starts the points after the whole blocks), and
+    ``inner`` holds cos(k r h) and sin(k r h), r < B, two rows per term,
+    with the 2 ``pairs`` leading rows of exact pairs folded to (Re, -Im).
+    Every order takes them (``_order_terms``). All arrays are read-only.
     """
 
     model: AperiodicModel
     nodes: np.ndarray
-    pairs_first: np.ndarray
+    terms: tuple
     pairs: int
     block: int
     sin_start: np.ndarray
@@ -364,7 +370,7 @@ def _block_waves(model, x, h):
     """
     if x.ndim != 1 or x.size < BLOCK_MIN_POINTS:
         return None
-    terms = _mode_terms(model, 0)
+    terms = _mode_terms(model)
     if not terms[0]:
         return None
     B = math.isqrt(x.size)
@@ -373,8 +379,9 @@ def _block_waves(model, x, h):
         B = int(0.5 / im)
     if B <= 1:
         return None
-    pairs_first = np.argsort(np.logical_not(terms[3]), kind="stable")
-    k = np.asarray(terms[0])[pairs_first]
+    pairs_first = sorted(range(len(terms[0])), key=lambda i: not terms[3][i])
+    terms = tuple(tuple(column[i] for i in pairs_first) for column in terms)
+    k = np.asarray(terms[0])
     start = np.multiply.outer(x[::B], k)
     inner = np.multiply.outer(k, h * np.arange(B))
     inner = np.stack([np.cos(inner), np.sin(inner)], axis=1).reshape(-1, B)
@@ -383,8 +390,8 @@ def _block_waves(model, x, h):
         # a paired term adds Re(P Q) = (Re P, Im P) @ (Re Q, -Im Q); the
         # waves are float when every term is paired
         inner = np.concatenate([inner.real[:n], -inner.imag[:n]] + ([inner[n:]] if n < len(inner) else []))
-    waves = ModeWaves(model, x, pairs_first, n // 2, B, np.sin(start), np.cos(start), inner)
-    for a in (pairs_first, waves.sin_start, waves.cos_start, inner):
+    waves = ModeWaves(model, x, terms, n // 2, B, np.sin(start), np.cos(start), inner)
+    for a in (waves.sin_start, waves.cos_start, inner):
         a.flags.writeable = False
     return waves
 
@@ -419,7 +426,7 @@ def _mode_product(c, cos, waves):
 def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, waves=None):
     """u_a or its analytic order-th derivative at x (scalar or array) on [-pi, pi].
 
-    Every mode's term is c Q_t(k x) (``_mode_terms``): exact quarter turns
+    Every mode's term is c Q_t(k x) (``_order_terms``): exact quarter turns
     of sin, no rounded phase. An exact conjugate pair adds 2 Re of its first
     member's term; any other imaginary part must stay below the realness
     tolerance, else RealnessViolation is raised.
@@ -434,20 +441,17 @@ def evaluate_aperiodic(model: AperiodicModel, x, order=0, *, waves=None):
     """
     order = integer_arg(order, "order", 0)
     x = np.asarray(x, dtype=float)
-    terms = _mode_terms(model, order)
     if waves is None:
-        total = _mode_loop(terms, x)
+        total = _mode_loop(_mode_terms(model), order, x)
     elif waves.model is model and waves.nodes is x:
-        c, cos = (np.asarray(column)[waves.pairs_first] for column in terms[1:3])
-        total = _mode_product(c, cos, waves)
+        total = _mode_product(*map(np.asarray, _order_terms(waves.terms, order)), waves)
     else:
         raise ValueError("the waves belong to another model or other nodes than x")
     if np.iscomplexobj(total) and total.size:
-        scale = 1.0 + np.max(np.abs(total.real))
         max_imag = np.max(np.abs(total.imag))
-        if max_imag > REALNESS_TOL * scale:
-            raise RealnessViolation(
-                f"imaginary residual {max_imag:.3e} exceeds {REALNESS_TOL * scale:.3e}")
+        # the scale 1 + max|real| is at least 1: below the bare tolerance no check fires
+        if max_imag > REALNESS_TOL and max_imag > (tol := REALNESS_TOL * (1.0 + np.max(np.abs(total.real)))):
+            raise RealnessViolation(f"imaginary residual {max_imag:.3e} exceeds {tol:.3e}")
     out = total.real
     return float(out) if out.ndim == 0 else out
 
@@ -465,12 +469,11 @@ class GFSDecomposition:
     other intervals are handled through the affine map, with jump values
     rescaled by the chain factor per derivative order.
 
-    The decomposition owns the grid's nodes on [-pi, pi]
-    (``GridSpec.standard_nodes()``) and, where the mode sum takes the
-    blocked product, the ``ModeWaves`` of its own model at those nodes
-    (None on the direct path: fewer than BLOCK_MIN_POINTS nodes, an empty
-    model, or B <= 1). Both are read-only and serve every derivative order;
-    the waves serve no other model or node array.
+    It holds the read-only nodes on [-pi, pi] that every grid of its N
+    shares (``grid.standard_nodes(N)``) and, where the mode sum takes the
+    blocked product, the ``ModeWaves`` of its own model at those nodes (None
+    on the direct path: fewer than BLOCK_MIN_POINTS nodes, an empty model,
+    or B <= 1). Both serve every order; the waves no other model or nodes.
     """
 
     grid: GridSpec
@@ -484,8 +487,7 @@ def gfs_decompose(u: SampledSignal, n, jumps: JumpData):
     """Split samples into periodic values and an aperiodic mode model."""
     grid = u.grid
     model = build_aperiodic_model(to_standard_jumps(jumps, grid), n)
-    nodes = grid.standard_nodes()
-    nodes.flags.writeable = False
+    nodes = standard_nodes(grid.N)
     waves = _block_waves(model, nodes, grid.standard_step)
     ua = evaluate_aperiodic(model, nodes, waves=waves)
     return GFSDecomposition(grid=grid, periodic=u.values - ua, aperiodic=model,
@@ -504,7 +506,8 @@ def gfs_derivative(dec: GFSDecomposition, order=1):
     grid = dec.grid
     du = spectral_derivative_periodic(dec.periodic, order)
     du += evaluate_aperiodic(dec.aperiodic, dec.nodes, order, waves=dec.waves)
-    du *= standard_chain_factor(grid) ** order
+    if (factor := standard_chain_factor(grid) ** order) != 1.0:
+        du *= factor
     try:
         return SampledSignal(grid, du)
     except BadSample as exc:

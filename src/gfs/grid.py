@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -9,6 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from gfs.functions import TestFunction
+
+# Arrays that depend on N alone are kept for this many N, more than a process uses at once.
+PER_N_CACHE = 8
 
 
 def integer_arg(value, name, minimum=None):
@@ -58,12 +62,8 @@ class GridSpec:
         return 2.0 * math.pi / self.N
 
     def standard_nodes(self):
-        """The nodes mapped onto [-pi, pi]: -pi + (2*pi/N) j, node N at pi exactly."""
-        x = np.arange(self.N + 1, dtype=float)
-        x *= self.standard_step
-        x -= math.pi
-        x[-1] = math.pi
-        return x
+        """A fresh, writable copy of the read-only ``standard_nodes(N)`` that decompositions share."""
+        return standard_nodes(self.N).copy()
 
     @property
     def length(self):
@@ -84,6 +84,17 @@ class SampledSignal:
         if not np.all(np.isfinite(values)):
             idx = int(np.flatnonzero(~np.isfinite(values))[0])
             raise BadSample(f"non-finite sample at node {idx}", idx)
+
+
+@functools.lru_cache(maxsize=PER_N_CACHE)
+def standard_nodes(N):
+    """The N+1 nodes of [-pi, pi], -pi + (2*pi/N) j with node N at pi exactly: one read-only array per N."""
+    x = np.arange(N + 1, dtype=float)
+    x *= 2.0 * math.pi / N
+    x -= math.pi
+    x[-1] = math.pi
+    x.flags.writeable = False
+    return x
 
 
 def make_grid(a, b, N):

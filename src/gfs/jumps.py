@@ -7,8 +7,8 @@ recursion yields the weights of every derivative order for one offset set in
 a single pass, cached per offset tuple. ``fd_weights`` is the one exact
 boundary-stencil accessor: backward (right boundary) stencils are the
 forward ones times (-1)^d. The estimators read read-only float64 copies:
-``jump_stencils`` for the boundary pair, ``_float_table`` for the
-off-centre stencils of ``fd_differentiate``.
+``jump_stencils`` for the boundary pair, ``fd_stencils`` for the central
+and off-centre stencils of ``fd_differentiate``.
 """
 
 from __future__ import annotations
@@ -217,14 +217,18 @@ def fd_differentiate(u: SampledSignal, r=6):
     dx = grid.dx
     out = np.empty(N + 1)
 
-    central = _float_table(tuple(range(-half, half + 1)))[1]
-    interior = slice(half, N - half + 1)
+    central, sides = fd_stencils(r)
     windows = np.lib.stride_tricks.sliding_window_view(u.values, r + 1)
-    out[interior] = windows @ central / dx
+    out[half:N - half + 1] = windows @ central / dx
 
-    for i in range(half):
-        w_left = _float_table(tuple(range(-i, r + 1 - i)))[1]
+    for i, (w_left, w_right) in enumerate(sides):
         out[i] = w_left @ u.values[:r + 1] / dx
-        w_right = _float_table(tuple(range(-(r - i), i + 1)))[1]
         out[N - i] = w_right @ u.values[N - r:] / dx
     return SampledSignal(grid, out)
+
+
+def fd_stencils(r):
+    """The order-r stencils ``fd_differentiate`` reads: central, then (left, right) per boundary node."""
+    return (_float_table(tuple(range(-(r // 2), r // 2 + 1)))[1],
+            [(_float_table(tuple(range(-i, r + 1 - i)))[1], _float_table(tuple(range(i - r, i + 1)))[1])
+             for i in range(r // 2)])

@@ -11,9 +11,21 @@ purely imaginary, and ``irfft`` keeps only the real part of that bin.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from gfs.grid import integer_arg
+from gfs.grid import PER_N_CACHE, integer_arg
+
+
+@functools.lru_cache(maxsize=2 * PER_N_CACHE)
+def _multiplier(N, order):
+    """(i k)^order over the wavenumbers k = 0..floor(N/2): one read-only array per (N, order)."""
+    ik = 1j * np.arange(N // 2 + 1)
+    # numpy's complex power is slow and gives i k itself at order 1
+    mult = ik if order == 1 else ik ** order
+    mult.flags.writeable = False
+    return mult
 
 
 def spectral_derivative_periodic(values, order=1):
@@ -25,11 +37,7 @@ def spectral_derivative_periodic(values, order=1):
     order = integer_arg(order, "order", 0)
     values = np.asarray(values, dtype=float)
     N = values.size - 1
-    u = values[:N]
-    ik = 1j * np.arange(N // 2 + 1)
-    # numpy's complex power is slow and gives i k itself at order 1
-    mult = ik if order == 1 else ik ** order
     du = np.empty(N + 1)
-    np.fft.irfft(np.fft.rfft(u) * mult, n=N, out=du[:N])
+    np.fft.irfft(np.fft.rfft(values[:N]) * _multiplier(N, order), n=N, out=du[:N])
     du[N] = du[0]
     return du

@@ -21,7 +21,7 @@ from gfs.bench import (
 from gfs.baselines import bernoulli_coefficients
 from gfs.cli import main as cli_main
 from gfs.core import AperiodicModel, GFSDecomposition
-from gfs.jumps import _fornberg_table, jump_stencils
+from gfs.jumps import _float_table, _fornberg_table, jump_stencils
 from gfs.linalg import DegenerateNodes
 
 HEADER = "method,function,N,param,jump_source,e_inf,e_2,wall_ms,note"
@@ -240,6 +240,26 @@ def test_fd_stencils_are_built_before_the_first_timed_window(monkeypatch):
     assert sizes[0][2] == 1
     # and no table is built inside a timed window
     assert sizes[-1] == sizes[0]
+
+
+def test_fd_method_stencils_are_built_before_the_first_timed_window(monkeypatch):
+    # the first fd row's wall_ms must not carry the one-off construction of
+    # the exact order-6 tables or of the float central and off-centre
+    # stencils fd_differentiate reads: the central one and three per boundary
+    _fornberg_table.cache_clear()
+    _float_table.cache_clear()
+    sizes = []
+    clock = time.perf_counter
+
+    def recording_clock():
+        sizes.append((_fornberg_table.cache_info().currsize, _float_table.cache_info().currsize))
+        return clock()
+
+    monkeypatch.setattr(time, "perf_counter", recording_clock)
+    rows = run_experiment(ExperimentConfig(function="gaussian", methods=("fd",), N_list=(32, 64, 128))).rows
+    assert [r.note for r in rows] == ["", "", ""]
+    assert len(sizes) == 6 and sizes[0] == (7, 7)
+    assert set(sizes) == {sizes[0]}
 
 
 def test_bernoulli_coefficients_are_built_before_the_first_timed_window(monkeypatch):

@@ -20,6 +20,7 @@ from gfs.core import (
     _block_waves,
     _mode_product,
     _mode_terms,
+    _order_terms,
     build_aperiodic_model,
     evaluate_aperiodic,
     gfs_decompose,
@@ -30,11 +31,11 @@ from gfs.core import (
     solve_mode_amplitudes,
 )
 from gfs.functions import FUNCTION_CATALOG, get_function
-from gfs.grid import SampledSignal, make_grid, sample, standard_chain_factor
+from gfs.grid import SampledSignal, make_grid, sample, standard_chain_factor, standard_nodes
 from gfs.jumps import JumpData, estimate_jumps, jumps_from_analytic, to_standard_jumps
 from gfs.linalg import (DUPLICATE_NODE_TOL, RANK_TOL_FACTOR, ROOT_RESIDUAL_TOL, DegenerateNodes,
                         complex_principal_sqrt, count_distinct)
-from gfs.spectral import spectral_derivative_periodic
+from gfs.spectral import _multiplier, spectral_derivative_periodic
 
 PI = math.pi
 EPS = np.finfo(float).eps
@@ -839,9 +840,7 @@ class TestBlockwiseWaves:
                         lone = AperiodicModel(**{family: modes[:1]})
                         waves = _block_waves(lone, x, h)
                         assert waves.block == min(math.isqrt(N + 1), int(0.5 / (abs(k.imag) * h)))
-                        _, c, cos, _ = _mode_terms(lone, order)
-                        got = _mode_product(np.asarray(c)[waves.pairs_first],
-                                            np.asarray(cos)[waves.pairs_first], waves)
+                        got = _mode_product(*map(np.asarray, _order_terms(waves.terms, order)), waves)
                         want = sign * k ** order * wave(k * x)
                         assert np.max(np.abs(got - want)) <= bound / 2, (k, order, family)
 
@@ -1110,36 +1109,66 @@ class TestSharedWaves:
         f = get_function("gaussian")
         dec = gfs_decompose(sample(f, make_grid(0.0, 1.0, 4096)), 3, jumps_from_analytic(f, 12))
         assert dec.waves.nodes is dec.nodes and dec.waves.model is dec.aperiodic
-        for name in ("nodes", "pairs_first", "sin_start", "cos_start", "inner"):
+        for name in ("nodes", "sin_start", "cos_start", "inner"):
             array = getattr(dec.waves, name)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+        assert all(isinstance(column, tuple) for column in dec.waves.terms)
         small = gfs_decompose(sample(f, make_grid(0.0, 1.0, 64)), 3, jumps_from_analytic(f, 12))
         assert small.waves is None and not small.nodes.flags.writeable
 
 
-class TestPairsOfEveryOrder:
-    """The exact pairs are set by the model: every order has the k and paired columns of order 0.
+def per_order_terms(model, order):
+    """The terms of the order-th derivative, each order pairing the model's modes anew.
 
-    So the waves a decomposition makes at order 0 serve every order: the
-    order's terms, taken in the waves' pairs-first order, have the exact
-    pairs first and the wavenumbers of the block-start waves.
+    Columns k, c, cos and paired, as ``_mode_terms`` and ``_order_terms``
+    formed them before the pairs were set once per model.
+    """
+    k, c, cos, paired = [], [], [], []
+    unpaired = {}
+    for turn, modes in enumerate((model.sine_modes, model.cosine_modes), start=order):
+        odd = turn % 2 == 1
+        for k_j, a in modes:
+            if (i := unpaired.pop((odd, np.conj(k_j), np.conj(a)), None)) is not None:
+                c[i] *= 2.0
+                paired[i] = True
+                continue
+            c_j = a * k_j ** order
+            if turn % 4 >= 2:
+                c_j = -c_j
+            unpaired[(odd, k_j, a)] = len(k)
+            k.append(k_j)
+            c.append(c_j)
+            cos.append(odd)
+            paired.append(False)
+    return k, c, cos, paired
+
+
+class TestPairsOfEveryOrder:
+    """The exact pairs are set once per model: every order's columns are those of pairing at that order.
+
+    So the terms and waves a decomposition makes serve every order: the
+    waves' terms are the model's, exact pairs first, with the wavenumbers
+    of the block-start waves.
     """
 
     @staticmethod
     def check(model, grid):
-        k0, _, _, paired0 = _mode_terms(model, 0)
+        terms = _mode_terms(model)
         x, waves = grid_waves(model, grid)
         for order in range(6):
-            terms = _mode_terms(model, order)
-            assert np.array(terms[0], dtype=complex).tobytes() == np.array(k0, dtype=complex).tobytes(), order
-            assert terms[3] == paired0, order
-            if waves is not None:
-                paired = np.array(terms[3])[waves.pairs_first].tolist()
-                assert paired == [True] * waves.pairs + [False] * (len(paired) - waves.pairs), order
-                k = np.array(terms[0], dtype=complex)[waves.pairs_first]
-                assert_same_bits(waves.sin_start.view(float),
-                                 np.sin(np.multiply.outer(x[::waves.block], k)).view(float))
+            k, c, cos, paired = per_order_terms(model, order)
+            got_c, got_cos = _order_terms(terms, order)
+            assert np.array(terms[0], dtype=complex).tobytes() == np.array(k, dtype=complex).tobytes(), order
+            assert np.array(got_c, dtype=complex).tobytes() == np.array(c, dtype=complex).tobytes(), order
+            assert got_cos == cos and terms[3] == paired, order
+        if waves is not None:
+            first = sorted(range(len(paired)), key=lambda i: not paired[i])
+            assert waves.terms[3] == (True,) * waves.pairs + (False,) * (len(paired) - waves.pairs)
+            for got, column in zip(waves.terms, terms):
+                assert np.array(got, dtype=complex).tobytes() == np.array(column, dtype=complex)[first].tobytes()
+            assert_same_bits(waves.sin_start.view(float),
+                             np.sin(np.multiply.outer(x[::waves.block], np.array(waves.terms[0]))).view(float))
 
     def test_fitted_and_hand_built_models(self):
         grid = make_grid(-PI, PI, 4097)
@@ -1219,10 +1248,9 @@ class TestWavesOfOtherNodesOrModels:
         # and the order-0 waves serve every order
         model = AperiodicModel(sine_modes=((1e-200 + 0j, 1.0 + 0j), (1e-200 + 0j, 2.0 + 0j)))
         x, waves = grid_waves(model, make_grid(-PI, PI, 4096))
-        assert waves.pairs == 0 and waves.pairs_first.size == 2
+        assert waves.pairs == 0 and waves.terms[3] == (False, False)
         for order in range(4):
-            _, c, _, paired = _mode_terms(model, order)
-            assert paired == [False, False], order
+            c, _ = _order_terms(waves.terms, order)
             got = evaluate_aperiodic(model, x, order, waves=waves)
             if order >= 2:
                 assert c == [0.0, 0.0] and not got.any(), order
@@ -1251,6 +1279,102 @@ def test_spectral_derivative_writes_the_concatenated_bits(N):
     for order in range(5):
         du = np.fft.irfft(np.fft.rfft(values[:N]) * (ik if order == 1 else ik ** order), n=N)
         assert_same_bits(spectral_derivative_periodic(values, order), np.concatenate([du, du[:1]]))
+
+
+@pytest.mark.parametrize("N", [8, 9, 64, 4095, 4096, 32768])
+def test_shared_multipliers_keep_the_bits_and_are_read_only(N):
+    ik = 1j * np.arange(N // 2 + 1)
+    for order in range(4):
+        shared = _multiplier(N, order)
+        want = ik if order == 1 else ik ** order
+        np.testing.assert_array_equal(shared.view(np.uint64), want.view(np.uint64))
+        assert _multiplier(N, order) is shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+
+
+class TestRealnessCheck:
+    """The check compares max|Im| with REALNESS_TOL (1 + max|Re|) as before, on the direct path.
+
+    The scale 1 + max|Re| is only formed for a residual above the bare
+    tolerance; the raise, its message, and NaN and inf pass as before.
+    """
+
+    @staticmethod
+    def model(imag):
+        return AperiodicModel(sine_modes=((1.0 + 0j, complex(1.0, imag)),))
+
+    @pytest.mark.parametrize("x", [PI / 2, make_grid(-PI, PI, 64).standard_nodes()])
+    def test_a_residual_just_above_the_scaled_tolerance_raises(self, x):
+        s = np.sin(np.asarray(x))
+        tol = REALNESS_TOL * (1.0 + np.max(np.abs(1.0 * s)))
+        imag = tol / np.max(np.abs(s))
+        while np.max(np.abs(imag * s)) <= tol:
+            imag = np.nextafter(imag, math.inf)
+        residual = np.max(np.abs(imag * s))
+        with pytest.raises(RealnessViolation) as got:
+            evaluate_aperiodic(self.model(imag), x)
+        assert str(got.value) == f"imaginary residual {residual:.3e} exceeds {tol:.3e}"
+        below = np.nextafter(imag, 0.0)
+        while np.max(np.abs(below * s)) > tol:
+            below = np.nextafter(below, 0.0)
+        # at the scaled tolerance, between it and the bare one, and below both: no raise
+        for imag in (below, 1.5 * REALNESS_TOL, 0.5 * REALNESS_TOL):
+            assert_same_bits(evaluate_aperiodic(self.model(imag), x), 1.0 * s)
+
+    def test_nan_and_inf_pass_as_before(self):
+        x = make_grid(-PI, PI, 64).standard_nodes()
+        for a in (complex(1.0, math.nan), complex(math.inf, 1e-3), complex(math.nan, 1.0)):
+            model = AperiodicModel(sine_modes=((1.0 + 0j, a),))
+            with np.errstate(invalid="ignore"):
+                got = evaluate_aperiodic(model, x)
+                assert_same_bits(got, loop_evaluate(model, x, 0))
+
+
+class TestSharedNodesAndMultipliers:
+    """Decompositions of one N share its nodes and multipliers and give the bits they give alone."""
+
+    SIGNALS = (("gaussian", -PI, PI), ("multimode", -1.0, 2.0))
+
+    @staticmethod
+    def run(name, a, b, N):
+        f = get_function(name)
+        dec = gfs_decompose(sample(f, make_grid(a, b, N)), 3, jumps_from_analytic(f, 12))
+        return dec, [gfs_derivative(dec, order).values for order in (1, 2)]
+
+    @pytest.mark.parametrize("N", [64, 4096])
+    def test_interleaved_signals_keep_their_bits(self, N):
+        standard_nodes.cache_clear()
+        _multiplier.cache_clear()
+        alone = [self.run(*signal, N) for signal in self.SIGNALS]
+        f, g = (get_function(name) for name, _, _ in self.SIGNALS)
+        u = sample(f, make_grid(-PI, PI, N))
+        v = sample(g, make_grid(-1.0, 2.0, N))
+        decs = [gfs_decompose(u, 3, jumps_from_analytic(f, 12)), gfs_decompose(v, 3, jumps_from_analytic(g, 12))]
+        assert decs[0].nodes is decs[1].nodes is standard_nodes(N)
+        assert decs[0].aperiodic != decs[1].aperiodic
+        got = [[], []]
+        for order in (1, 2):
+            for i, dec in enumerate(decs):
+                got[i].append(gfs_derivative(dec, order).values)
+        for (dec_alone, derivs_alone), dec, derivs in zip(alone, decs, got):
+            assert (dec.waves is not None) == (N == 4096)
+            assert_same_bits(dec.periodic, dec_alone.periodic)
+            for d, d_alone in zip(derivs, derivs_alone):
+                assert_same_bits(d, d_alone)
+
+    @pytest.mark.parametrize("N", [64, 4096])
+    def test_unit_chain_factor_keeps_the_bits(self, N):
+        # on [0, 2 pi] the chain factor is exactly 1.0, and the product by it is skipped
+        f = get_function("gaussian")
+        grid = make_grid(0.0, 2 * PI, N)
+        assert standard_chain_factor(grid) == 1.0
+        dec = gfs_decompose(sample(f, grid), 3, jumps_from_analytic(f, 12))
+        for order in (1, 2, 3):
+            want = spectral_derivative_periodic(dec.periodic, order)
+            want += evaluate_aperiodic(dec.aperiodic, dec.nodes, order, waves=dec.waves)
+            want *= standard_chain_factor(grid) ** order
+            assert_same_bits(gfs_derivative(dec, order).values, want)
 
 
 class TestEvaluate:

@@ -17,6 +17,7 @@ from gfs.grid import (
     lp_error_norm,
     make_grid,
     sample,
+    standard_nodes,
     to_standard_interval,
 )
 from gfs.jumps import (
@@ -109,6 +110,29 @@ class TestStandardNodes:
         assert (x[0], x[-1]) == (-PI, PI)
         assert np.all(np.diff(x) > 0)
         assert g.standard_step == 2 * PI / N
+
+    @pytest.mark.parametrize("N", [8, 9, 64, 4095, 4096, 32768])
+    def test_shared_nodes_keep_the_bits_and_are_read_only(self, N):
+        # one read-only array per N, bit for bit the nodes each grid made for itself
+        want = np.arange(N + 1, dtype=float)
+        want *= 2.0 * math.pi / N
+        want -= math.pi
+        want[-1] = math.pi
+        shared = standard_nodes(N)
+        np.testing.assert_array_equal(shared.view(np.uint64), want.view(np.uint64))
+        assert standard_nodes(N) is shared
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+        for a, b in ((-PI, PI), (-1.0, 2.0)):
+            np.testing.assert_array_equal(make_grid(a, b, N).standard_nodes().view(np.uint64), want.view(np.uint64))
+
+    def test_grid_nodes_are_a_fresh_writable_array_on_every_call(self):
+        g = make_grid(-1.0, 2.0, 64)
+        first, second = g.standard_nodes(), g.standard_nodes()
+        assert first is not second and first is not standard_nodes(64)
+        assert first.flags.writeable and second.flags.writeable
+        first[0] = 5.0
+        assert second[0] == standard_nodes(64)[0] == g.standard_nodes()[0] == -PI
 
 
 class TestStandardInterval:
