@@ -17,7 +17,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from gfs.grid import SampledSignal, integer_arg, standard_chain_factor
+from gfs.grid import SampledSignal, derivative_signal, integer_arg, standard_chain_factor
 from gfs.jumps import GridTooSmall, JumpData, to_standard_jumps
 from gfs.linalg import polynomial_roots, solve_least_squares, vandermonde_matrix
 from gfs.spectral import spectral_derivative_periodic
@@ -36,7 +36,7 @@ def fft_derivative(u: SampledSignal, order=1):
     """Raw FFT spectral derivative; Gibbs oscillations for non-periodic input."""
     dp = spectral_derivative_periodic(u.values, order)
     factor = standard_chain_factor(u.grid) ** order
-    return SampledSignal(u.grid, dp * factor)
+    return derivative_signal(u.grid, dp * factor)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def eckhoff_derivative(u: SampledSignal, jumps: JumpData):
     sj = to_standard_jumps(jumps, grid)
     s, s_deriv = eckhoff_singular(sj, grid.standard_nodes())
     smooth_deriv = spectral_derivative_periodic(u.values - s, 1)
-    return SampledSignal(grid, (smooth_deriv + s_deriv) * standard_chain_factor(grid))
+    return derivative_signal(grid, (smooth_deriv + s_deriv) * standard_chain_factor(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def roache_derivative(u: SampledSignal, jumps: JumpData, q):
     table[1:, 1] = (a[1:] * np.arange(1, q + 1))[::-1]
     g, g_deriv = _horner_rows(table, xs)
     smooth_deriv = spectral_derivative_periodic(u.values - g, 1)
-    return SampledSignal(grid, (smooth_deriv + g_deriv) * standard_chain_factor(grid))
+    return derivative_signal(grid, (smooth_deriv + g_deriv) * standard_chain_factor(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,18 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from gfs.baselines import (BERNOULLI_MAX_ORDER, bernoulli_coefficients, eckhoff_derivative, fft_derivative,
-                            prony_evaluate, prony_fit, roache_derivative)
+from gfs.baselines import (BERNOULLI_MAX_ORDER, eckhoff_derivative, fft_derivative, prony_evaluate, prony_fit,
+                            roache_derivative)
 from gfs.core import gfs_decompose, gfs_derivative
 from gfs.functions import get_function
 from gfs.grid import integer_arg, lp_error_norm, make_grid, sample
-from gfs.jumps import (GridTooSmall, JumpData, estimate_jumps, fd_differentiate, fd_stencils, jump_stencils,
-                       jumps_from_analytic)
+from gfs.jumps import GridTooSmall, JumpData, estimate_jumps, fd_differentiate, jumps_from_analytic
 from gfs.linalg import DegenerateNodes
 
 PI = math.pi
@@ -23,6 +21,10 @@ PI = math.pi
 KNOWN_METHODS = ("gfs", "fft", "fd", "roache", "eckhoff", "prony")
 
 FD_ORDER = 6  # order of the "fd" method's central stencils
+
+# The settings (method, N, n_modes, q, jump_source) this process has run
+# once, untimed.
+_warmed = set()
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ def _leading(jumps, q):
     """The first q jumps of ``jumps``."""
     if q < 1:
         raise ValueError(f"jump count {q} must be >= 1")
-    return JumpData(J=jumps.J[:q])
+    return JumpData(J=jumps.J[:q], interval=jumps.interval)
 
 
 def _method_param(cfg, method, N):
@@ -105,72 +107,61 @@ def _method_param(cfg, method, N):
     return ""
 
 
-@functools.cache
-def _warm_up_numpy():
-    """numpy's one-off first FFT and LAPACK calls, made once.
-
-    The first rfft/irfft, real and complex eigvals and solve (Prony's are
-    real, gfs's complex), svd and lstsq of a process set up their backends;
-    made here, before any timed window, they stay out of the first row's
-    ``wall_ms``. The 16x16 matrix has no structure and non-real
-    eigenvalues: a structured one such as the identity leaves parts of the
-    general eigenvalue path cold. (No method calls the complex FFT.)
-    """
-    a = np.ones(4)
-    np.fft.irfft(np.fft.rfft(a), n=a.size)
-    real = np.sin(np.arange(256.0) ** 2).reshape(16, 16)
-    cplx = real.astype(complex)
-    for m in (real, cplx):
-        np.linalg.eigvals(m)
-        np.linalg.solve(m, m[0])
-    np.linalg.svd(cplx)
-    np.linalg.lstsq(cplx, cplx[0], rcond=None)
-
-
-def _run_single(cfg, method, u, exact, analytic):
-    grid = u.grid
-    t0 = time.perf_counter()
+def _derivative(cfg, method, u, analytic):
+    """The first derivative of ``u`` at its nodes by ``method``."""
     if method == "gfs":
         q = 4 * cfg.n_modes
         r = cfg.fd_jump_order
         jumps = _leading(analytic, q) if r is None else estimate_jumps(u, q, r)
-        approx = gfs_derivative(gfs_decompose(u, cfg.n_modes, jumps), 1).values
-    elif method == "fft":
-        approx = fft_derivative(u).values
-    elif method == "fd":
-        approx = fd_differentiate(u, FD_ORDER).values
-    elif method == "roache":
-        approx = roache_derivative(u, _leading(analytic, cfg.q), cfg.q).values
-    elif method == "eckhoff":
-        approx = eckhoff_derivative(u, _leading(analytic, cfg.q)).values
-    elif method == "prony":
-        fit = prony_fit(u, grid.N // 2)
-        approx = prony_evaluate(fit, grid.nodes(), 1)
-    else:  # pragma: no cover - guarded in config
-        raise ValueError(method)
+        return gfs_derivative(gfs_decompose(u, cfg.n_modes, jumps), 1).values
+    if method == "fft":
+        return fft_derivative(u).values
+    if method == "fd":
+        return fd_differentiate(u, FD_ORDER).values
+    if method == "roache":
+        return roache_derivative(u, _leading(analytic, cfg.q), cfg.q).values
+    if method == "eckhoff":
+        return eckhoff_derivative(u, _leading(analytic, cfg.q)).values
+    if method == "prony":
+        return prony_evaluate(prony_fit(u, u.grid.N // 2), u.grid.nodes(), 1)
+    raise ValueError(method)  # pragma: no cover - guarded in config
+
+
+def _run_single(cfg, method, u, exact, analytic):
+    """(e_inf, e_2, wall_ms) of one method on one grid.
+
+    The first time this process meets the setting, the method runs once
+    untimed before its timed run, so ``wall_ms`` carries no one-off cost.
+    """
+    setting = (method, u.grid.N, cfg.n_modes, cfg.q, cfg.jump_source)
+    if setting not in _warmed:
+        _derivative(cfg, method, u, analytic)
+        _warmed.add(setting)
+    t0 = time.perf_counter()
+    approx = _derivative(cfg, method, u, analytic)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     err = approx - exact
-    return (lp_error_norm(err, math.inf, grid.dx),
-            lp_error_norm(err, 2, grid.dx), wall_ms)
+    return (lp_error_norm(err, math.inf, u.grid.dx),
+            lp_error_norm(err, 2, u.grid.dx), wall_ms)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Compute first-derivative errors for every (method, N) pair.
 
-    Each grid is sampled, and its exact derivative computed, once; analytic
-    jumps come from one catalog pass per run, FD jump stencils, the "fd"
-    method's stencils and eckhoff's Bernoulli coefficients are built once,
-    and numpy's first FFT and LAPACK calls are made once per process.
-    All of it happens before any method's timed window, so ``wall_ms``
-    covers the method's own work (FD jump estimation included).
+    Each grid is sampled, and its exact derivative computed, once, and
+    analytic jumps come from one catalog pass per run. The first time a
+    process meets a setting (method, N, n_modes, q, jump_source), the method
+    runs once untimed before its timed call, so every cache and backend it
+    needs is built by then and ``wall_ms`` covers the method's own work (FD
+    jump estimation included).
 
     Method-level numerical failures (an ArithmeticError such as Prony
     ill-conditioning, a fit's realness violation, a root residual or a
-    non-finite gfs derivative;
-    degenerate mode nodes; grids too small for the requested stencils)
-    become rows with infinite error and the exception's class name as
-    their note rather than aborting the run.
+    non-finite derivative; degenerate mode nodes; grids too small for the
+    requested stencils), raised by the untimed or the timed call, become
+    rows with infinite error and the exception's class name as their note
+    rather than aborting the run.
     """
     f = get_function(cfg.function, **cfg.params)
     signals = {}
@@ -178,19 +169,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         grid = make_grid(-PI, PI, N)
         signals[N] = (sample(f, grid), f.derivative(grid.nodes(), 1))
     analytic = _analytic_jumps(cfg, f)
-    if "gfs" in cfg.methods and cfg.fd_jump_order is not None:
-        # Build the stencil tables estimate_jumps reads (exact, then float)
-        # now, so the first gfs row's wall_ms does not carry their one-off cost.
-        jump_stencils(4 * cfg.n_modes - 1 + cfg.fd_jump_order)
-    if "fd" in cfg.methods:
-        # the same for the central and off-centre stencils fd_differentiate reads
-        fd_stencils(FD_ORDER)
-    if "eckhoff" in cfg.methods:
-        # the same for the exact Bernoulli coefficients eckhoff's padded
-        # table is derived from on each call (roache reads no table)
-        for m in range(1, cfg.q + 1):
-            bernoulli_coefficients(m)
-    _warm_up_numpy()
     rows = []
     for method in sorted(cfg.methods):
         for N in sorted(cfg.N_list):

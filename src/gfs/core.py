@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gfs.grid import BadSample, GridSpec, SampledSignal, integer_arg, standard_chain_factor, standard_nodes
+from gfs.grid import (GridSpec, NonFiniteDerivative, SampledSignal, derivative_signal, integer_arg,
+                      standard_chain_factor, standard_nodes)
 from gfs.jumps import JumpData, to_standard_jumps
 from gfs.linalg import (DegenerateNodes, complex_principal_sqrt, polynomial_roots, solve_least_squares,
                         solve_transposed_vandermonde)
@@ -64,10 +65,6 @@ BLOCK_MIN_POINTS = 2049
 
 class RealnessViolation(ArithmeticError):
     """The aperiodic model produced a non-negligible imaginary part."""
-
-
-class NonFiniteDerivative(ArithmeticError):
-    """A derivative overflowed or came out NaN at some grid node."""
 
 
 @dataclass(frozen=True)
@@ -508,7 +505,4 @@ def gfs_derivative(dec: GFSDecomposition, order=1):
     du += evaluate_aperiodic(dec.aperiodic, dec.nodes, order, waves=dec.waves)
     if (factor := standard_chain_factor(grid) ** order) != 1.0:
         du *= factor
-    try:
-        return SampledSignal(grid, du)
-    except BadSample as exc:
-        raise NonFiniteDerivative(f"non-finite derivative at node {exc.node_index}") from None
+    return derivative_signal(grid, du)

@@ -86,6 +86,18 @@ class SampledSignal:
             raise BadSample(f"non-finite sample at node {idx}", idx)
 
 
+class NonFiniteDerivative(ArithmeticError):
+    """A derivative overflowed or came out NaN at some grid node."""
+
+
+def derivative_signal(grid, values):
+    """Derivative values on ``grid`` as a signal; a non-finite one raises ``NonFiniteDerivative``."""
+    try:
+        return SampledSignal(grid, values)
+    except BadSample as exc:
+        raise NonFiniteDerivative(f"non-finite derivative at node {exc.node_index}") from None
+
+
 @functools.lru_cache(maxsize=PER_N_CACHE)
 def standard_nodes(N):
     """The N+1 nodes of [-pi, pi], -pi + (2*pi/N) j with node N at pi exactly: one read-only array per N."""

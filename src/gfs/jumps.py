@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gfs.grid import SampledSignal, integer_arg, standard_chain_factor
+from gfs.grid import SampledSignal, derivative_signal, integer_arg, standard_chain_factor
 
 # Analytic jumps that are exactly zero are replaced by this value so the
 # Hankel systems stay formally nonzero; FD-estimated jumps carry their own
@@ -30,6 +30,10 @@ ZERO_JUMP_REGULARIZATION = 1e-15
 
 class GridTooSmall(ValueError):
     pass
+
+
+class IntervalMismatch(ValueError):
+    """Jumps taken at the ends of one interval were given with a grid on another."""
 
 
 def stencil_weights_at_offsets(d, offsets):
@@ -122,9 +126,14 @@ def jump_stencils(width):
 
 @dataclass(frozen=True)
 class JumpData:
-    """Endpoint derivative jumps J_m = u^(m)(b) - u^(m)(a), m = 0..q-1."""
+    """Endpoint derivative jumps J_m = u^(m)(b) - u^(m)(a), m = 0..q-1.
+
+    ``interval`` is the (a, b) they were taken on, which ``to_standard_jumps``
+    checks against the grid; None (jumps built by hand) is not checked.
+    """
 
     J: np.ndarray
+    interval: tuple | None = None
 
     def __post_init__(self):
         J = np.asarray(self.J, dtype=float)
@@ -144,7 +153,8 @@ def jumps_from_analytic(f, q):
 
     Each endpoint's derivatives of all orders come from one
     ``f.derivatives`` call; the jump is u^(m)(pi) - u^(m)(-pi), as
-    ``TestFunction.analytic_jump`` computes it. Zero jumps are replaced by
+    ``TestFunction.analytic_jump`` computes it, so the jumps hold on
+    [-pi, pi] only and say so in their ``interval``. Zero jumps are replaced by
     1e-15 to keep the downstream Hankel systems formally nonzero. A jump
     also counts as zero when it is pure floating point cancellation between
     two large endpoint derivatives (a periodic function evaluated near the
@@ -155,7 +165,7 @@ def jumps_from_analytic(f, q):
     J = hi - lo
     scale = np.maximum(np.abs(lo), np.abs(hi))
     J[(J == 0.0) | (np.abs(J) <= 1e-12 * scale)] = ZERO_JUMP_REGULARIZATION
-    return JumpData(J=J)
+    return JumpData(J=J, interval=(-math.pi, math.pi))
 
 
 def estimate_jumps(u: SampledSignal, q, r):
@@ -183,15 +193,19 @@ def estimate_jumps(u: SampledSignal, q, r):
             left = F[m] @ head / dx ** m
             right = B[m] @ tail / dx ** m
             J[m] = right - left
-    return JumpData(J=J)
+    return JumpData(J=J, interval=(grid.a, grid.b))
 
 
 def to_standard_jumps(jumps: JumpData, grid):
     """Rescale jumps to derivatives w.r.t. the standard variable on [-pi, pi].
 
     The affine map x -> x* multiplies the m-th derivative by
-    (2 pi / (b - a))^m, so jumps divide by that factor.
+    (2 pi / (b - a))^m, so jumps divide by that factor. Jumps taken on
+    another interval than the grid's raise ``IntervalMismatch``.
     """
+    if jumps.interval is not None and jumps.interval != (grid.a, grid.b):
+        a, b = jumps.interval
+        raise IntervalMismatch(f"jumps taken on [{a}, {b}] do not fit a grid on [{grid.a}, {grid.b}]")
     factor = standard_chain_factor(grid)
     if factor == 1.0:
         return jumps
@@ -224,7 +238,7 @@ def fd_differentiate(u: SampledSignal, r=6):
     for i, (w_left, w_right) in enumerate(sides):
         out[i] = w_left @ u.values[:r + 1] / dx
         out[N - i] = w_right @ u.values[N - r:] / dx
-    return SampledSignal(grid, out)
+    return derivative_signal(grid, out)
 
 
 def fd_stencils(r):

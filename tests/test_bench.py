@@ -10,7 +10,6 @@ from gfs.bench import (
     ExperimentConfig,
     ExperimentReport,
     ExperimentRow,
-    _warm_up_numpy,
     convergence_sweep,
     format_csv,
     leakage_demo,
@@ -21,8 +20,11 @@ from gfs.bench import (
 from gfs.baselines import bernoulli_coefficients
 from gfs.cli import main as cli_main
 from gfs.core import AperiodicModel, GFSDecomposition
-from gfs.jumps import _float_table, _fornberg_table, jump_stencils
+from gfs.functions import get_function
+from gfs.grid import standard_nodes
+from gfs.jumps import _float_table, _fornberg_table, jump_stencils, jumps_from_analytic
 from gfs.linalg import DegenerateNodes
+from gfs.spectral import _multiplier
 
 HEADER = "method,function,N,param,jump_source,e_inf,e_2,wall_ms,note"
 # a trig_poly draw whose n=4 gfs fit raises RealnessViolation at N=64
@@ -212,77 +214,35 @@ def test_shared_samples_and_jumps_change_no_row(function, jump_source, q):
     assert _row_fields(joint) == _row_fields(single)
 
 
-def test_fd_stencils_are_built_before_the_first_timed_window(monkeypatch):
-    # the first gfs row's wall_ms must not carry the one-off construction of
-    # the exact stencil table or of the float tables estimate_jumps reads,
-    # nor numpy's first FFT and LAPACK calls
-    _fornberg_table.cache_clear()
-    jump_stencils.cache_clear()
-    _warm_up_numpy.cache_clear()
-    sizes = []
+FIRST_WINDOW_CACHES = (_fornberg_table, _float_table, jump_stencils, bernoulli_coefficients, standard_nodes,
+                       _multiplier)
+
+
+@pytest.mark.parametrize("jump_source", ["analytic", "fd:6"])
+def test_no_cache_misses_inside_a_timed_window(monkeypatch, jump_source):
+    # each method's first row of a setting is timed after one untimed run
+    # of it, so no timed window builds a stencil table, a Bernoulli
+    # coefficient, a node array or a spectral multiplier
+    for cache in FIRST_WINDOW_CACHES:
+        cache.cache_clear()
+    gfs.bench._warmed.clear()
+    misses = []
     clock = time.perf_counter
 
     def recording_clock():
-        sizes.append((_fornberg_table.cache_info().currsize,
-                       jump_stencils.cache_info().currsize,
-                       _warm_up_numpy.cache_info().currsize))
+        misses.append(tuple(c.cache_info().misses for c in FIRST_WINDOW_CACHES))
         return clock()
 
     monkeypatch.setattr(time, "perf_counter", recording_clock)
-    cfg = ExperimentConfig(function="gaussian", methods=("gfs",),
-                           N_list=(64, 128), n_modes=3, jump_source="fd:6")
-    run_experiment(cfg)
-    # the exact table and the forward and backward float tables of width
-    # 4 * 3 - 1 + 6 exist before the first timed window
-    assert sizes and sizes[0][0] >= 1 and sizes[0][1] == 1
-    assert jump_stencils.cache_info().misses == 1
-    # the numpy warm-up ran before the first timed window
-    assert sizes[0][2] == 1
-    # and no table is built inside a timed window
-    assert sizes[-1] == sizes[0]
-
-
-def test_fd_method_stencils_are_built_before_the_first_timed_window(monkeypatch):
-    # the first fd row's wall_ms must not carry the one-off construction of
-    # the exact order-6 tables or of the float central and off-centre
-    # stencils fd_differentiate reads: the central one and three per boundary
-    _fornberg_table.cache_clear()
-    _float_table.cache_clear()
-    sizes = []
-    clock = time.perf_counter
-
-    def recording_clock():
-        sizes.append((_fornberg_table.cache_info().currsize, _float_table.cache_info().currsize))
-        return clock()
-
-    monkeypatch.setattr(time, "perf_counter", recording_clock)
-    rows = run_experiment(ExperimentConfig(function="gaussian", methods=("fd",), N_list=(32, 64, 128))).rows
-    assert [r.note for r in rows] == ["", "", ""]
-    assert len(sizes) == 6 and sizes[0] == (7, 7)
-    assert set(sizes) == {sizes[0]}
-
-
-def test_bernoulli_coefficients_are_built_before_the_first_timed_window(monkeypatch):
-    # eckhoff's first row must not carry the one-off exact construction of
-    # B_1..B_q, from which it derives its padded table on each call; roache
-    # reads no cached table. At the largest eckhoff q, no cache grows
-    # inside a timed window of either method.
-    bernoulli_coefficients.cache_clear()
-    caches = (bernoulli_coefficients, _fornberg_table, jump_stencils, _warm_up_numpy)
-    sizes = []
-    clock = time.perf_counter
-
-    def recording_clock():
-        sizes.append(tuple(c.cache_info().currsize for c in caches))
-        return clock()
-
-    monkeypatch.setattr(time, "perf_counter", recording_clock)
-    rows = run_experiment(ExperimentConfig(function="gaussian", methods=("eckhoff", "roache"),
-                                           N_list=(32, 33), q=33)).rows
-    assert [(r.method, r.note) for r in rows] == [("eckhoff", ""), ("eckhoff", ""),
-                                                   ("roache", ""), ("roache", "")]
-    assert len(sizes) == 8 and sizes[0][0] == 33
-    assert set(sizes) == {sizes[0]}
+    rows = run_experiment(ExperimentConfig(function="gaussian", methods=gfs.bench.KNOWN_METHODS,
+                                           N_list=(40, 64, 128), n_modes=3, q=12, jump_source=jump_source)).rows
+    noted = [(r.method, r.N, r.note) for r in rows if r.note]
+    assert noted == [("prony", 128, "IllConditioned")]
+    assert len(misses) == 2 * (len(rows) - len(noted))
+    # every cache was read, jump_stencils only by FD jumps
+    assert sum(map(bool, misses[-1])) == (5 if jump_source == "analytic" else 6)
+    for start, end in zip(misses[::2], misses[1::2]):
+        assert end == start
 
 
 def test_a_non_finite_gfs_derivative_becomes_a_noted_row(monkeypatch):
@@ -297,6 +257,23 @@ def test_a_non_finite_gfs_derivative_becomes_a_noted_row(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         rows = run_experiment(ExperimentConfig(function="gaussian", methods=("gfs",), N_list=(64,))).rows
     assert [(r.e_inf, r.note) for r in rows] == [(math.inf, "NonFiniteDerivative")]
+
+
+def test_overflowing_baseline_derivatives_become_noted_rows(tmp_path):
+    # modulated_sine with a = 112 samples finitely, but the derivatives of
+    # roache and eckhoff overflow: the table keeps both rows
+    out = tmp_path / "overflow.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli_main(["--function", "modulated_sine", "--param", "a=112", "--method", "roache",
+                       "--method", "eckhoff", "--N", "64", "--out", str(out)])
+    assert rc == 0
+    assert [(r[0], r[5], r[8]) for r in read_rows(out)] == [("eckhoff", "inf", "NonFiniteDerivative"),
+                                                            ("roache", "inf", "NonFiniteDerivative")]
+
+
+def test_leading_jumps_keep_their_interval():
+    jumps = jumps_from_analytic(get_function("gaussian"), 12)
+    assert gfs.bench._leading(jumps, 8).interval == (-math.pi, math.pi)
 
 
 class TestLeakageDemo:

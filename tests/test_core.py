@@ -31,7 +31,7 @@ from gfs.core import (
     solve_mode_amplitudes,
 )
 from gfs.functions import FUNCTION_CATALOG, get_function
-from gfs.grid import SampledSignal, make_grid, sample, standard_chain_factor, standard_nodes
+from gfs.grid import SampledSignal, make_grid, sample, standard_chain_factor, standard_nodes, to_standard_interval
 from gfs.jumps import JumpData, estimate_jumps, jumps_from_analytic, to_standard_jumps
 from gfs.linalg import (DUPLICATE_NODE_TOL, RANK_TOL_FACTOR, ROOT_RESIDUAL_TOL, DegenerateNodes,
                         complex_principal_sqrt, count_distinct)
@@ -1107,14 +1107,14 @@ class TestSharedWaves:
 
     def test_nodes_and_waves_are_read_only(self):
         f = get_function("gaussian")
-        dec = gfs_decompose(sample(f, make_grid(0.0, 1.0, 4096)), 3, jumps_from_analytic(f, 12))
+        dec = gfs_decompose(sample(f, make_grid(0.0, 1.0, 4096)), 3, JumpData(J=jumps_from_analytic(f, 12).J))
         assert dec.waves.nodes is dec.nodes and dec.waves.model is dec.aperiodic
         for name in ("nodes", "sin_start", "cos_start", "inner"):
             array = getattr(dec.waves, name)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
         assert all(isinstance(column, tuple) for column in dec.waves.terms)
-        small = gfs_decompose(sample(f, make_grid(0.0, 1.0, 64)), 3, jumps_from_analytic(f, 12))
+        small = gfs_decompose(sample(f, make_grid(0.0, 1.0, 64)), 3, JumpData(J=jumps_from_analytic(f, 12).J))
         assert small.waves is None and not small.nodes.flags.writeable
 
 
@@ -1259,7 +1259,7 @@ class TestWavesOfOtherNodesOrModels:
     def test_equal_copies_of_a_decompositions_nodes_or_model_raise(self):
         # the waves serve the decomposition's own objects alone, not equal copies
         f = get_function("gaussian")
-        dec = gfs_decompose(sample(f, make_grid(0.0, 1.0, 4096)), 3, jumps_from_analytic(f, 12))
+        dec = gfs_decompose(sample(f, make_grid(0.0, 1.0, 4096)), 3, JumpData(J=jumps_from_analytic(f, 12).J))
         assert dec.waves is not None
         model = AperiodicModel(sine_modes=dec.aperiodic.sine_modes, cosine_modes=dec.aperiodic.cosine_modes)
         assert model == dec.aperiodic and model is not dec.aperiodic
@@ -1339,7 +1339,7 @@ class TestSharedNodesAndMultipliers:
     @staticmethod
     def run(name, a, b, N):
         f = get_function(name)
-        dec = gfs_decompose(sample(f, make_grid(a, b, N)), 3, jumps_from_analytic(f, 12))
+        dec = gfs_decompose(sample(f, make_grid(a, b, N)), 3, JumpData(J=jumps_from_analytic(f, 12).J))
         return dec, [gfs_derivative(dec, order).values for order in (1, 2)]
 
     @pytest.mark.parametrize("N", [64, 4096])
@@ -1350,7 +1350,7 @@ class TestSharedNodesAndMultipliers:
         f, g = (get_function(name) for name, _, _ in self.SIGNALS)
         u = sample(f, make_grid(-PI, PI, N))
         v = sample(g, make_grid(-1.0, 2.0, N))
-        decs = [gfs_decompose(u, 3, jumps_from_analytic(f, 12)), gfs_decompose(v, 3, jumps_from_analytic(g, 12))]
+        decs = [gfs_decompose(u, 3, jumps_from_analytic(f, 12)), gfs_decompose(v, 3, JumpData(J=jumps_from_analytic(g, 12).J))]
         assert decs[0].nodes is decs[1].nodes is standard_nodes(N)
         assert decs[0].aperiodic != decs[1].aperiodic
         got = [[], []]
@@ -1369,7 +1369,7 @@ class TestSharedNodesAndMultipliers:
         f = get_function("gaussian")
         grid = make_grid(0.0, 2 * PI, N)
         assert standard_chain_factor(grid) == 1.0
-        dec = gfs_decompose(sample(f, grid), 3, jumps_from_analytic(f, 12))
+        dec = gfs_decompose(sample(f, grid), 3, JumpData(J=jumps_from_analytic(f, 12).J))
         for order in (1, 2, 3):
             want = spectral_derivative_periodic(dec.periodic, order)
             want += evaluate_aperiodic(dec.aperiodic, dec.nodes, order, waves=dec.waves)
@@ -1497,6 +1497,27 @@ class TestDecompose:
         u = sample(f, make_grid(-PI, PI, 64))
         with pytest.raises(ValueError, match="mode count n must be >= 1"):
             gfs_decompose(u, n, jumps_from_analytic(f, 8))
+
+
+class TestAffineInvariance:
+    """On any [a, b], f(T(x)) with T onto [-pi, pi] differentiates to T' times f' on [-pi, pi]."""
+
+    @given(st.sampled_from(["gaussian", "modulated_sine"]), st.integers(1, 3),
+           st.sampled_from([32, 64, 256, 1024]), st.floats(-50, 50), st.floats(0.01, 100))
+    @settings(max_examples=60, deadline=None)
+    def test_derivative_on_a_drawn_interval(self, name, n, N, a, length):
+        f = get_function(name)
+        jumps = jumps_from_analytic(f, 4 * n)
+        want = gfs_derivative(gfs_decompose(sample(f, make_grid(-PI, PI, N)), n, jumps)).values
+        grid = make_grid(a, a + length, N)
+        factor = standard_chain_factor(grid)
+        u = SampledSignal(grid, f.value(to_standard_interval(grid.nodes(), grid)))
+        drawn = JumpData(J=jumps.J * factor ** np.arange(4 * n), interval=(grid.a, grid.b))
+        got = gfs_derivative(gfs_decompose(u, n, drawn)).values
+        # T(x) rounds like the nodes, eps * max(|a|, |b|) / (b - a) relative
+        # to the period, and the derivative lifts that by about N
+        bound = 64 * N * EPS * (1 + max(abs(grid.a), abs(grid.b)) / grid.length)
+        assert np.max(np.abs(got - factor * want)) <= bound * factor * np.max(np.abs(want))
 
 
 class TestDerivative:

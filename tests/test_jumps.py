@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfs.baselines import eckhoff_derivative, roache_derivative
+from gfs.core import gfs_decompose
 from gfs.functions import DERIVATIVE_ORDER_MAX, FUNCTION_CATALOG, get_function
 from gfs.grid import make_grid, sample
 from gfs.jumps import (
     GridTooSmall,
+    IntervalMismatch,
+    JumpData,
     ZERO_JUMP_REGULARIZATION,
     _float_table,
     _fornberg_table,
@@ -184,14 +188,35 @@ class TestStandardJumps:
         np.testing.assert_allclose(Js.J, J.J)
 
     def test_chain_rule_scaling(self):
-        from gfs.jumps import JumpData
-
         g = make_grid(0.0, 1.0, 64)
         J = JumpData(J=np.array([2.0, 3.0, 5.0]))
         Js = to_standard_jumps(J, g)
         # m-th derivative in standard coordinates picks up (L / 2 pi)^m.
         for m in range(3):
             assert Js.J[m] == pytest.approx(J.J[m] * (1 / (2 * PI)) ** m)
+
+
+class TestJumpInterval:
+    def test_jumps_record_their_interval(self):
+        f = get_function("gaussian")
+        assert jumps_from_analytic(f, 4).interval == (-PI, PI)
+        assert estimate_jumps(sample(f, make_grid(-1.0, 2.0, 64)), 4, 2).interval == (-1.0, 2.0)
+        assert JumpData(J=np.ones(4)).interval is None
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 2.0), (0.0, 2 * PI)])
+    def test_jumps_of_another_interval_raise(self, a, b):
+        # [-pi, pi] jumps on [0, 2 pi] too: the chain factor is 1 there, the ends differ
+        f = get_function("gaussian")
+        u = sample(f, make_grid(a, b, 128))
+        jumps = jumps_from_analytic(f, 12)
+        for call in (lambda: to_standard_jumps(jumps, u.grid), lambda: gfs_decompose(u, 3, jumps),
+                     lambda: roache_derivative(u, jumps, 12), lambda: eckhoff_derivative(u, jumps)):
+            with pytest.raises(IntervalMismatch, match=r"^jumps taken on \[-3.14159"):
+                call()
+        assert issubclass(IntervalMismatch, ValueError)
+        # the grid's own FD jumps, and jumps built by hand, pass
+        for own in (estimate_jumps(u, 12, 2), JumpData(J=jumps.J)):
+            assert to_standard_jumps(own, u.grid).q == 12
 
 
 class TestFdDifferentiate:
