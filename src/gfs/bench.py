@@ -131,7 +131,7 @@ def _run_single(cfg, method, u, exact, analytic):
     """(e_inf, e_2, wall_ms) of one method on one grid.
 
     The first time this process meets the setting, the method runs once
-    untimed before its timed run, so ``wall_ms`` carries no one-off cost.
+    untimed first, so no cache is built and no backend started in ``wall_ms``.
     """
     setting = (method, u.grid.N, cfg.n_modes, cfg.q, cfg.jump_source)
     if setting not in _warmed:
