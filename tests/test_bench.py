@@ -245,6 +245,51 @@ def test_no_cache_misses_inside_a_timed_window(monkeypatch, jump_source):
         assert end == start
 
 
+def test_fd_method_stencils_are_built_before_the_first_timed_window(monkeypatch):
+    # the first fd row's wall_ms must not carry the one-off construction of
+    # the exact order-6 tables or of the float central and off-centre
+    # stencils fd_differentiate reads: the central one and three per boundary
+    _fornberg_table.cache_clear()
+    _float_table.cache_clear()
+    gfs.bench._warmed.clear()
+    sizes = []
+    clock = time.perf_counter
+
+    def recording_clock():
+        sizes.append((_fornberg_table.cache_info().currsize, _float_table.cache_info().currsize))
+        return clock()
+
+    monkeypatch.setattr(time, "perf_counter", recording_clock)
+    rows = run_experiment(ExperimentConfig(function="gaussian", methods=("fd",), N_list=(32, 64, 128))).rows
+    assert [r.note for r in rows] == ["", "", ""]
+    assert len(sizes) == 6 and sizes[0] == (7, 7)
+    assert set(sizes) == {sizes[0]}
+
+
+def test_bernoulli_coefficients_are_built_before_the_first_timed_window(monkeypatch):
+    # eckhoff's first row must not carry the one-off exact construction of
+    # B_1..B_q, from which it derives its padded table on each call; roache
+    # reads no cached table. At the largest eckhoff q, no cache misses
+    # inside a timed window of either method.
+    bernoulli_coefficients.cache_clear()
+    gfs.bench._warmed.clear()
+    caches = (bernoulli_coefficients, _fornberg_table, jump_stencils)
+    misses = []
+    clock = time.perf_counter
+
+    def recording_clock():
+        misses.append(tuple(c.cache_info().misses for c in caches))
+        return clock()
+
+    monkeypatch.setattr(time, "perf_counter", recording_clock)
+    rows = run_experiment(ExperimentConfig(function="gaussian", methods=("eckhoff", "roache"),
+                                           N_list=(32, 33), q=33)).rows
+    assert [(r.method, r.note) for r in rows] == [("eckhoff", ""), ("eckhoff", ""),
+                                                   ("roache", ""), ("roache", "")]
+    assert len(misses) == 8 and bernoulli_coefficients.cache_info().currsize == 33
+    assert set(misses) == {misses[0]}
+
+
 def test_a_non_finite_gfs_derivative_becomes_a_noted_row(monkeypatch):
     # the sine mode (3.5, 1e308) overflows at order 1: the table keeps the
     # row, as for any numerical failure, instead of aborting
